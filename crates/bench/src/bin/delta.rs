@@ -1,5 +1,6 @@
-//! Incremental (delta) support evaluation versus full re-execution: time
-//! to compute a query's disagreement bits over a neighborhood support set,
+//! Incremental (delta) support evaluation versus full re-execution for the
+//! entropy family: time to compute a query's per-neighbor output
+//! fingerprints (`query_partition`) over a neighborhood support set,
 //! sweeping the support size S.
 //!
 //! `cargo run -p qirana-bench --bin delta --release -- [--seed N] [--json PATH]`
@@ -9,9 +10,9 @@
 //! instance, materializes per-relation probe state, and then answers each
 //! neighbor with a constant-size fingerprint adjustment (or a short-circuit
 //! when the changed columns miss the query's footprint) — O(plan cost + S).
-//! The crossover should land well before S = 64 on every SPJ workload here.
 //! Both paths are asserted bitwise-identical at every point, so the curve
-//! is free of semantic drift.
+//! is free of semantic drift. (The coverage family does not use delta: it
+//! prices with the batched Algorithms 4–6, which `fig5` measures.)
 //!
 //! Runs with telemetry enabled and writes `BENCH_8.json` (schema
 //! `qirana-bench/v1`) by default; `--json PATH` redirects the artifact,
@@ -24,9 +25,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use qirana_bench::{validate_bench_json, Args, Harness};
-use qirana_core::{
-    bundle_disagreements, generate_support, prepare_query, EngineOptions, SupportConfig, SupportSet,
-};
+use qirana_core::engine::query_partition;
+use qirana_core::{generate_support, prepare_query, EngineOptions, SupportConfig, SupportSet};
 use qirana_datagen::world;
 
 const SWEEP: [usize; 4] = [16, 64, 256, 1024];
@@ -77,7 +77,7 @@ fn main() {
     let delta_opts = EngineOptions::default().with_telemetry(h.telemetry());
 
     let mut db = world::generate(seed);
-    println!("== Delta vs full support evaluation (world dataset) ==");
+    println!("== Delta vs full entropy-family support evaluation (world dataset) ==");
     println!(
         "{:<20} {:>6} {:>12} {:>12} {:>9}",
         "workload", "S", "full(s)", "delta(s)", "speedup"
@@ -95,15 +95,15 @@ fn main() {
                 },
             ));
             let label = format!("{name}/S={s}");
-            let (full_bits, tf) = h.time(&format!("full_{name}"), &label, || {
-                bundle_disagreements(&mut db, &[&q], &support, &full_opts, None).unwrap()
+            let (full_fps, tf) = h.time(&format!("full_{name}"), &label, || {
+                query_partition(&mut db, &q, &support, &full_opts).unwrap()
             });
-            let (delta_bits, td) = h.time(&format!("delta_{name}"), &label, || {
-                bundle_disagreements(&mut db, &[&q], &support, &delta_opts, None).unwrap()
+            let (delta_fps, td) = h.time(&format!("delta_{name}"), &label, || {
+                query_partition(&mut db, &q, &support, &delta_opts).unwrap()
             });
             assert_eq!(
-                full_bits, delta_bits,
-                "delta and full disagreement bits diverged on {name} at S={s}"
+                full_fps, delta_fps,
+                "delta and full fingerprints diverged on {name} at S={s}"
             );
             let speedup = tf / td;
             h.record(&format!("speedup_{name}"), &format!("S={s}"), speedup);

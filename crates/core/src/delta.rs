@@ -4,7 +4,11 @@
 //! one row/swap update, yet the baseline evaluators re-execute the full
 //! plan once per neighbor. This module executes the plan **once** on the
 //! base instance, materializes per-operator intermediate state, and then
-//! prices each neighbor as a *delta* against the memoized base:
+//! prices each neighbor as a *delta* against the memoized base. The engine
+//! uses it for the entropy family's per-neighbor fingerprints, where the
+//! alternative is full re-execution; the coverage family prices with the
+//! batched Algorithms 4–6 ([`crate::optimized`]) instead, which beat these
+//! probes on the paper's star joins.
 //!
 //! * **Fingerprint arithmetic.** An unordered result fingerprint is
 //!   `header(N, C) + Σ row_hash(r)` under wrapping `u128` addition
@@ -1251,7 +1255,6 @@ pub struct ProbeStats {
 
 #[derive(Debug, Clone, Copy)]
 enum Outcome {
-    Skipped,
     Base,
     Computed(Fingerprint),
     Fellback(Fingerprint),
@@ -1284,63 +1287,6 @@ fn evaluate(
     }
 }
 
-fn run_probes(
-    db: &Database,
-    q: &Prepared,
-    state: &DeltaState,
-    updates: &[SupportUpdate],
-    active: Option<&[bool]>,
-    workers: usize,
-    tel: &Telemetry,
-) -> Result<(Vec<Outcome>, ProbeStats), EngineError> {
-    let is_active = |i: usize| {
-        active
-            .map(|a| a.get(i).copied().unwrap_or(false))
-            .unwrap_or(true)
-    };
-    let outcomes: Vec<Outcome> = if workers > 1 {
-        crate::parallel::run_indexed(
-            updates.len(),
-            workers,
-            || None::<Database>,
-            |scratch, i| {
-                if !is_active(i) {
-                    return Ok(Outcome::Skipped);
-                }
-                evaluate(db, q, state, &updates[i], scratch)
-            },
-            tel,
-        )?
-    } else {
-        let mut scratch = None;
-        let mut out = Vec::with_capacity(updates.len());
-        for (i, up) in updates.iter().enumerate() {
-            if !is_active(i) {
-                out.push(Outcome::Skipped);
-                continue;
-            }
-            out.push(evaluate(db, q, state, up, &mut scratch)?);
-        }
-        out
-    };
-    let mut stats = ProbeStats::default();
-    for o in &outcomes {
-        match o {
-            Outcome::Skipped => {}
-            Outcome::Base => {
-                stats.probes += 1;
-                stats.short_circuits += 1;
-            }
-            Outcome::Computed(_) => stats.probes += 1,
-            Outcome::Fellback(_) => {
-                stats.probes += 1;
-                stats.fallbacks += 1;
-            }
-        }
-    }
-    Ok((outcomes, stats))
-}
-
 /// Per-neighbor output fingerprints through the delta path (the
 /// incremental counterpart of [`crate::naive::query_fps_nbrs`]).
 pub(crate) fn query_fps_nbrs(
@@ -1354,40 +1300,41 @@ pub(crate) fn query_fps_nbrs(
     let Some(base) = state.base_fp() else {
         return Err(EngineError::Eval("delta probe on ineligible state".into()));
     };
-    let (outcomes, stats) = run_probes(db, q, state, updates, None, workers, tel)?;
+    let outcomes: Vec<Outcome> = if workers > 1 {
+        crate::parallel::run_indexed(
+            updates.len(),
+            workers,
+            || None::<Database>,
+            |scratch, i| evaluate(db, q, state, &updates[i], scratch),
+            tel,
+        )?
+    } else {
+        let mut scratch = None;
+        let mut out = Vec::with_capacity(updates.len());
+        for up in updates {
+            out.push(evaluate(db, q, state, up, &mut scratch)?);
+        }
+        out
+    };
+    let mut stats = ProbeStats {
+        probes: outcomes.len() as u64,
+        ..ProbeStats::default()
+    };
     let fps = outcomes
         .iter()
-        .map(|o| match o {
-            Outcome::Skipped | Outcome::Base => base,
-            Outcome::Computed(fp) | Outcome::Fellback(fp) => *fp,
+        .map(|o| match *o {
+            Outcome::Base => {
+                stats.short_circuits += 1;
+                base
+            }
+            Outcome::Computed(fp) => fp,
+            Outcome::Fellback(fp) => {
+                stats.fallbacks += 1;
+                fp
+            }
         })
         .collect();
     Ok((fps, stats))
-}
-
-/// Per-neighbor disagreement bits through the delta path (the incremental
-/// counterpart of [`crate::naive::disagreements_nbrs`]).
-pub(crate) fn disagreements_nbrs(
-    db: &Database,
-    q: &Prepared,
-    state: &DeltaState,
-    updates: &[SupportUpdate],
-    active: &[bool],
-    workers: usize,
-    tel: &Telemetry,
-) -> Result<(Vec<bool>, ProbeStats), EngineError> {
-    let Some(base) = state.base_fp() else {
-        return Err(EngineError::Eval("delta probe on ineligible state".into()));
-    };
-    let (outcomes, stats) = run_probes(db, q, state, updates, Some(active), workers, tel)?;
-    let bits = outcomes
-        .iter()
-        .map(|o| match o {
-            Outcome::Skipped | Outcome::Base => false,
-            Outcome::Computed(fp) | Outcome::Fellback(fp) => *fp != base,
-        })
-        .collect();
-    Ok((bits, stats))
 }
 
 #[cfg(test)]
@@ -1458,9 +1405,11 @@ mod tests {
         let naive_fps =
             naive::query_fps_nbrs(&mut database, &q, &updates, ExecBudget::UNLIMITED).unwrap();
         assert_eq!(fps, naive_fps, "fps diverged for {sql}");
+        // The coverage verdict read off the delta fingerprints matches the
+        // naive disagreement bits too.
+        let base = state.base_fp().unwrap();
+        let bits: Vec<bool> = fps.iter().map(|&fp| fp != base).collect();
         let active = vec![true; updates.len()];
-        let (bits, _) =
-            disagreements_nbrs(&database, &q, &state, &updates, &active, workers, &tel).unwrap();
         let naive_bits =
             naive::disagreements_nbrs(&mut database, &q, &updates, &active, ExecBudget::UNLIMITED)
                 .unwrap();
@@ -1523,7 +1472,7 @@ mod tests {
 
     #[test]
     fn unreferenced_table_short_circuits() {
-        let database = db();
+        let mut database = db();
         let q = prepare_query(&database, "select v from T where v > 3").unwrap();
         let updates: Vec<SupportUpdate> = (0..6)
             .map(|i| SupportUpdate::Row {
@@ -1534,19 +1483,13 @@ mod tests {
             .collect();
         let state = build(&database, &q).unwrap();
         let tel = Telemetry::disabled();
-        let (bits, stats) = disagreements_nbrs(
-            &database,
-            &q,
-            &state,
-            &updates,
-            &vec![true; updates.len()],
-            1,
-            &tel,
-        )
-        .unwrap();
-        assert!(bits.iter().all(|b| !b));
+        let (fps, stats) = query_fps_nbrs(&database, &q, &state, &updates, 1, &tel).unwrap();
+        assert!(fps.iter().all(|&fp| Some(fp) == state.base_fp()));
         assert_eq!(stats.short_circuits, 6);
         assert_eq!(stats.fallbacks, 0);
+        let naive_fps =
+            naive::query_fps_nbrs(&mut database, &q, &updates, ExecBudget::UNLIMITED).unwrap();
+        assert_eq!(fps, naive_fps);
     }
 
     #[test]

@@ -4,14 +4,16 @@
 //!
 //! * [`bundle_disagreements`] — for the coverage-family functions: one bit
 //!   per support instance, "does the bundle's output change on `Dᵢ`?"
-//!   (Algorithm 1 / 3). This is where §4's optimizations apply.
+//!   (Algorithm 1 / 3). This is where §4's optimizations apply: SPJ and
+//!   aggregate shapes run the batched Algorithms 4–6 ([`crate::optimized`]),
+//!   everything else per-instance execution.
 //! * [`bundle_partition`] — for the entropy-family functions: the bundle
 //!   output fingerprint per instance (Algorithm 2). This inherently
 //!   requires the queries' outputs per instance — the paper's reason
 //!   weighted coverage is the recommended default — but the incremental
-//!   evaluator ([`crate::delta`]) now derives those outputs from memoized
-//!   base state for SPJ/aggregate shapes instead of re-executing, falling
-//!   back to full per-instance execution everywhere else.
+//!   evaluator ([`crate::delta`]) derives those outputs from memoized base
+//!   state for SPJ/aggregate shapes instead of re-executing, falling back
+//!   to full per-instance execution everywhere else.
 
 use crate::cache::{CacheConfig, PricingCache};
 use crate::delta::{self, DeltaState, ProbeStats};
@@ -24,6 +26,7 @@ use crate::support::SupportSet;
 use crate::telemetry::{Stage, Telemetry};
 use crate::update::SupportUpdate;
 use qirana_sqlengine::{Database, EngineError, ExecBudget, Fingerprint, QueryOutput};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Engine knobs mirroring the paper's evaluated configurations, plus the
@@ -43,13 +46,20 @@ pub struct EngineOptions {
     /// (Appendix A's instance reduction). Only used when `optimize` is off
     /// and the query is SPJ-shaped.
     pub reduce: bool,
-    /// Incremental (delta) support evaluation: execute the plan once on
-    /// the base instance, materialize per-operator state, and answer each
-    /// neighbor as a delta ([`crate::delta`]). The default path for
-    /// SPJ/aggregate shapes over neighborhood supports; opaque shapes,
-    /// uniform supports, budget-limited runs, and any neighbor that trips
-    /// a delta guard fall back to full execution. Prices are bitwise
-    /// identical with the flag on or off.
+    /// Selects the entropy family's evaluator: incremental (delta) support
+    /// evaluation executes the plan once on the base instance, materializes
+    /// per-operator state, and answers each neighbor as a delta
+    /// ([`crate::delta`]) inside [`bundle_partition`] and
+    /// [`query_partition`]. There the alternative is full per-neighbor
+    /// re-execution, which is ~60× slower on the churn market. Opaque
+    /// shapes, uniform supports, budget-limited runs, and any neighbor that
+    /// trips a delta guard fall back to full execution.
+    ///
+    /// The coverage family ignores the flag: [`bundle_disagreements`]
+    /// always prices SPJ/aggregate shapes with the batched Algorithms 4–6,
+    /// which beat delta probes by 3–31× on the Fig. 5 queries (SSB Q3.2
+    /// 13 ms against 417 ms). Prices are bitwise identical with the flag
+    /// on or off.
     pub delta: bool,
     /// Execution budget applied to every query the pricing engine runs
     /// (base executions, per-instance re-executions, batched probes).
@@ -172,6 +182,20 @@ pub fn combine_bundle(fps: &[Fingerprint]) -> Fingerprint {
     Fingerprint(acc)
 }
 
+/// Folds per-query fingerprint vectors instance by instance with
+/// [`combine_bundle`], in member order.
+fn fold_bundle<V: Borrow<Vec<Fingerprint>>>(per_query: &[V], n: usize) -> Vec<Fingerprint> {
+    let mut row = vec![Fingerprint(0); per_query.len()];
+    (0..n)
+        .map(|i| {
+            for (slot, fps) in row.iter_mut().zip(per_query) {
+                *slot = fps.borrow()[i];
+            }
+            combine_bundle(&row)
+        })
+        .collect()
+}
+
 /// True when the delta evaluator may serve this query: the flag is on, no
 /// execution budget is in force (delta probes skip whole executions, so
 /// budget trips could not fire deterministically), and the shape has delta
@@ -220,6 +244,13 @@ fn record_probe_stats(tel: &Telemetry, stats: ProbeStats) {
 /// Computes, for every support instance, whether the bundle's output on it
 /// differs from the output on the stored database.
 ///
+/// Over a neighborhood support, SPJ and aggregate members run the paper's
+/// Algorithms 4–6 with §4.2 batching ([`crate::optimized`]); opaque members
+/// run per-neighbor execution. The delta evaluator never serves this
+/// family: on the Fig. 5 queries its per-probe re-execution of the joined
+/// core lost to batching by 3–31× (SSB Q2.1 219 ms against 9.6 ms, TPC-H Q5
+/// 798 ms against 90 ms), so `opts.delta` is ignored here.
+///
 /// `skip[i] = true` excludes instance `i` from evaluation (its bit stays
 /// `false`): history-aware pricing passes the already-charged bitmap here
 /// (Algorithm 3), which also makes repeat pricing *faster*, as §5.3
@@ -233,20 +264,6 @@ pub fn bundle_disagreements(
     support: &SupportSet,
     opts: &EngineOptions,
     skip: Option<&[bool]>,
-) -> Result<Vec<bool>, EngineError> {
-    bundle_disagreements_impl(db, bundle, support, opts, skip, None)
-}
-
-/// [`bundle_disagreements`] with an optional pricing cache for delta-state
-/// reuse across purchases (the cached entry points thread theirs through;
-/// the uncached public path builds per call).
-fn bundle_disagreements_impl(
-    db: &mut Database,
-    bundle: &[&Prepared],
-    support: &SupportSet,
-    opts: &EngineOptions,
-    skip: Option<&[bool]>,
-    mut cache: Option<&mut PricingCache>,
 ) -> Result<Vec<bool>, EngineError> {
     fault::check(fault::ENGINE_EXECUTE)
         .map_err(|f| EngineError::Eval(format!("injected fault: {f}")))?;
@@ -272,88 +289,52 @@ fn bundle_disagreements_impl(
         } else {
             tel.span(Stage::Disagreement)
         };
-        let bits = meter_trips(
-            tel,
-            match support {
-                SupportSet::Uniform(worlds) => {
-                    let workers = opts.parallelism.workers(worlds.len());
-                    if workers > 1 {
-                        parallel::disagreements_uniform(
-                            db,
-                            q,
-                            worlds,
-                            &active,
-                            opts.budget,
-                            workers,
-                            tel,
-                        )
-                    } else {
-                        naive::disagreements_uniform(db, q, worlds, &active, opts.budget)
-                    }
-                }
-                SupportSet::Neighborhood(updates) => {
-                    let workers = opts.parallelism.workers(updates.len());
-                    let delta_bits = if delta_applies(q, opts) {
-                        let state = delta_state_for(db, q, opts, cache.as_deref_mut())?;
-                        if state.is_usable() {
-                            let probe_span = tel.span_with(Stage::DeltaProbe, "coverage".into());
-                            let (bits, stats) = delta::disagreements_nbrs(
-                                db, q, &state, updates, &active, workers, tel,
-                            )?;
-                            if tel.is_enabled() {
-                                probe_span.count("probes", stats.probes);
-                                probe_span.count("short_circuits", stats.short_circuits);
-                                probe_span.count("fallbacks", stats.fallbacks);
-                            }
-                            record_probe_stats(tel, stats);
-                            Some(Ok(bits))
-                        } else {
-                            None
-                        }
-                    } else {
-                        None
-                    };
-                    if let Some(bits) = delta_bits {
-                        bits
-                    } else if opts.optimize {
-                        match &q.shape {
-                            Shape::Spj(s) => {
-                                optimized::spj_disagreements(db, s, updates, &active, opts)
-                            }
-                            Shape::Agg(s) => {
-                                optimized::agg_disagreements(db, q, s, updates, &active, opts)
-                            }
-                            Shape::Opaque { .. } if workers > 1 => parallel::disagreements_nbrs(
-                                db,
-                                q,
-                                updates,
-                                &active,
-                                opts.budget,
-                                workers,
-                                tel,
-                            ),
-                            Shape::Opaque { .. } => {
-                                naive::disagreements_nbrs(db, q, updates, &active, opts.budget)
-                            }
-                        }
-                    } else if opts.reduce && matches!(q.shape, Shape::Spj(_)) {
-                        naive::reduced_disagreements(db, q, updates, &active, opts.budget)
-                    } else if workers > 1 {
-                        parallel::disagreements_nbrs(
-                            db,
-                            q,
-                            updates,
-                            &active,
-                            opts.budget,
-                            workers,
-                            tel,
-                        )
-                    } else {
-                        naive::disagreements_nbrs(db, q, updates, &active, opts.budget)
-                    }
-                }
+        let workers = opts.parallelism.workers(n);
+        // One `evaluator_*_total` count per member: `batched` is the §4
+        // optimizer (batched unless `batch` is off), `full` per-instance
+        // execution.
+        let (evaluator, bits) = match support {
+            SupportSet::Uniform(worlds) if workers > 1 => (
+                "evaluator_full_total",
+                parallel::disagreements_uniform(db, q, worlds, &active, opts.budget, workers, tel),
+            ),
+            SupportSet::Uniform(worlds) => (
+                "evaluator_full_total",
+                naive::disagreements_uniform(db, q, worlds, &active, opts.budget),
+            ),
+            SupportSet::Neighborhood(updates) => match &q.shape {
+                Shape::Spj(s) if opts.optimize => (
+                    "evaluator_batched_total",
+                    optimized::spj_disagreements(db, s, updates, &active, opts),
+                ),
+                Shape::Agg(s) if opts.optimize => (
+                    "evaluator_batched_total",
+                    optimized::agg_disagreements(db, q, s, updates, &active, opts),
+                ),
+                Shape::Spj(_) if opts.reduce => (
+                    "evaluator_reduced_total",
+                    naive::reduced_disagreements(db, q, updates, &active, opts.budget),
+                ),
+                _ if workers > 1 => (
+                    "evaluator_full_total",
+                    parallel::disagreements_nbrs(
+                        db,
+                        q,
+                        updates,
+                        &active,
+                        opts.budget,
+                        workers,
+                        tel,
+                    ),
+                ),
+                _ => (
+                    "evaluator_full_total",
+                    naive::disagreements_nbrs(db, q, updates, &active, opts.budget),
+                ),
             },
-        )?;
+        };
+        tel.counter_add(evaluator, 1);
+        let bits = meter_trips(tel, bits)?;
         let mut found = 0u64;
         for i in 0..n {
             if bits[i] {
@@ -411,9 +392,11 @@ fn query_fps_neighborhood(
                 probe_span.count("fallbacks", stats.fallbacks);
             }
             record_probe_stats(tel, stats);
+            tel.counter_add("evaluator_delta_total", 1);
             return Ok(fps);
         }
     }
+    tel.counter_add("evaluator_full_total", 1);
     meter_trips(
         tel,
         if workers > 1 {
@@ -461,17 +444,10 @@ fn bundle_partition_impl(
                     cache.as_deref_mut(),
                 )?);
             }
-            let mut row = vec![Fingerprint(0); bundle.len()];
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                for (slot, fps) in row.iter_mut().zip(&per_query) {
-                    *slot = fps[i];
-                }
-                out.push(combine_bundle(&row));
-            }
-            return Ok(out);
+            return Ok(fold_bundle(&per_query, n));
         }
     }
+    tel.counter_add("evaluator_full_total", bundle.len() as u64);
     let workers = opts.parallelism.workers(n);
     meter_trips(
         tel,
@@ -517,14 +493,7 @@ pub fn query_disagreements_cached(
         }
         lookup.count("miss", 1);
     }
-    let bits = Arc::new(bundle_disagreements_impl(
-        db,
-        &[q],
-        support,
-        opts,
-        None,
-        Some(cache),
-    )?);
+    let bits = Arc::new(bundle_disagreements(db, &[q], support, opts, None)?);
     cache.insert_bits(q.plan_fp, Arc::clone(&bits));
     Ok(bits)
 }
@@ -587,15 +556,19 @@ fn query_partition_impl(
     } else {
         tel.span(Stage::Disagreement)
     };
-    let workers = opts.parallelism.workers(n);
     match support {
         SupportSet::Neighborhood(updates) => query_fps_neighborhood(db, q, updates, opts, cache),
-        SupportSet::Uniform(worlds) if workers > 1 => meter_trips(
-            tel,
-            parallel::query_fps_uniform(q, worlds, opts.budget, workers, tel),
-        ),
         SupportSet::Uniform(worlds) => {
-            meter_trips(tel, naive::query_fps_uniform(q, worlds, opts.budget))
+            tel.counter_add("evaluator_full_total", 1);
+            let workers = opts.parallelism.workers(n);
+            meter_trips(
+                tel,
+                if workers > 1 {
+                    parallel::query_fps_uniform(q, worlds, opts.budget, workers, tel)
+                } else {
+                    naive::query_fps_uniform(q, worlds, opts.budget)
+                },
+            )
         }
     }
 }
@@ -644,16 +617,7 @@ pub fn bundle_partition_cached(
     for q in bundle {
         per_query.push(query_fingerprints_cached(db, q, support, opts, cache)?);
     }
-    let n = support.len();
-    let mut row = vec![Fingerprint(0); bundle.len()];
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        for (slot, fps) in row.iter_mut().zip(&per_query) {
-            *slot = fps[i];
-        }
-        out.push(combine_bundle(&row));
-    }
-    Ok(out)
+    Ok(fold_bundle(&per_query, support.len()))
 }
 
 #[cfg(test)]
@@ -945,7 +909,7 @@ mod tests {
         let opts = EngineOptions::default().with_telemetry(Telemetry::enabled());
         let mut cache = PricingCache::new(16);
         for _ in 0..3 {
-            query_disagreements_cached(&mut database, &q, &support, &opts, &mut cache).unwrap();
+            query_fingerprints_cached(&mut database, &q, &support, &opts, &mut cache).unwrap();
         }
         let sink = opts.telemetry.sink().map(Arc::clone).unwrap();
         assert_eq!(
@@ -959,9 +923,54 @@ mod tests {
                 <= sink.counter("delta_probes_total")
         );
         // The delta artifact is counter-quiet: the three rounds above are
-        // 1 bitmap miss + 2 bitmap hits, exactly as without delta.
+        // 1 blocks miss + 2 blocks hits, exactly as without delta.
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (2, 1));
+    }
+
+    /// Dispatch regression: with default options the coverage family runs
+    /// the batched Algorithms 4–6 and never touches the delta evaluator,
+    /// while the entropy family probes every neighbor through delta.
+    #[test]
+    fn coverage_is_batched_and_entropy_is_delta() {
+        const S: usize = 150;
+        let mut database = db();
+        let support = SupportSet::Neighborhood(generate_support(
+            &database,
+            &SupportConfig {
+                size: S,
+                ..Default::default()
+            },
+        ));
+        let spj = prepare_query(&database, "select gender from User where age > 18").unwrap();
+        let agg = prepare_query(
+            &database,
+            "select gender, count(*) from User group by gender",
+        )
+        .unwrap();
+        assert!(matches!(spj.shape, Shape::Spj(_)) && matches!(agg.shape, Shape::Agg(_)));
+        let bundle = [&spj, &agg];
+
+        let opts = EngineOptions::default().with_telemetry(Telemetry::enabled());
+        let sink = opts.telemetry.sink().map(Arc::clone).unwrap();
+        bundle_disagreements(&mut database, &bundle, &support, &opts, None).unwrap();
+        assert_eq!(sink.counter("delta_builds_total"), 0);
+        assert_eq!(sink.counter("delta_probes_total"), 0);
+        assert_eq!(sink.counter("evaluator_batched_total"), 2, "one per member");
+        assert_eq!(sink.counter("evaluator_delta_total"), 0);
+        assert_eq!(sink.counter("evaluator_full_total"), 0);
+
+        bundle_partition(&mut database, &bundle, &support, &opts).unwrap();
+        assert_eq!(sink.counter("delta_builds_total"), 2);
+        assert_eq!(
+            sink.counter("delta_probes_total"),
+            (S * bundle.len()) as u64,
+            "S probes per member"
+        );
+        assert_eq!(sink.counter("evaluator_delta_total"), 2);
+        assert_eq!(sink.counter("evaluator_batched_total"), 2);
+        assert_eq!(sink.counter("evaluator_full_total"), 0);
+        assert_eq!(sink.counter("evaluator_reduced_total"), 0);
     }
 
     #[test]
