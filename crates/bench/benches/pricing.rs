@@ -42,7 +42,7 @@ fn support_generation(c: &mut Criterion) {
 }
 
 fn spj_engine_ladder(c: &mut Criterion) {
-    let mut db = world::generate(7);
+    let db = world::generate(7);
     let support = SupportSet::Neighborhood(generate_support(
         &db,
         &SupportConfig {
@@ -73,14 +73,14 @@ fn spj_engine_ladder(c: &mut Criterion) {
     ];
     for (name, opts) in configs {
         g.bench_function(name, |b| {
-            b.iter(|| bundle_disagreements(&mut db, &[&q], &support, &opts, None).unwrap())
+            b.iter(|| bundle_disagreements(&db, &[&q], &support, &opts, None).unwrap())
         });
     }
     g.finish();
 }
 
 fn agg_engine(c: &mut Criterion) {
-    let mut db = world::generate(7);
+    let db = world::generate(7);
     let support = SupportSet::Neighborhood(generate_support(
         &db,
         &SupportConfig {
@@ -99,14 +99,14 @@ fn agg_engine(c: &mut Criterion) {
         ("optimized", EngineOptions::default()),
     ] {
         g.bench_function(name, |b| {
-            b.iter(|| bundle_disagreements(&mut db, &[&q], &support, &opts, None).unwrap())
+            b.iter(|| bundle_disagreements(&db, &[&q], &support, &opts, None).unwrap())
         });
     }
     g.finish();
 }
 
 fn entropy_partition(c: &mut Criterion) {
-    let mut db = world::generate(7);
+    let db = world::generate(7);
     let support = SupportSet::Neighborhood(generate_support(
         &db,
         &SupportConfig {
@@ -120,12 +120,12 @@ fn entropy_partition(c: &mut Criterion) {
     )
     .unwrap();
     c.bench_function("bundle_partition_S300", |b| {
-        b.iter(|| bundle_partition(&mut db, &[&q], &support, &EngineOptions::default()).unwrap())
+        b.iter(|| bundle_partition(&db, &[&q], &support, &EngineOptions::default()).unwrap())
     });
 }
 
 fn history_shrinks_work(c: &mut Criterion) {
-    let mut db = world::generate(7);
+    let db = world::generate(7);
     let support = SupportSet::Neighborhood(generate_support(
         &db,
         &SupportConfig {
@@ -139,13 +139,13 @@ fn history_shrinks_work(c: &mut Criterion) {
     let mut g = c.benchmark_group("history_aware_S2000");
     g.bench_function("fresh_buyer", |b| {
         b.iter(|| {
-            bundle_disagreements(&mut db, &[&q], &support, &EngineOptions::default(), None).unwrap()
+            bundle_disagreements(&db, &[&q], &support, &EngineOptions::default(), None).unwrap()
         })
     });
     g.bench_function("buyer_with_90pct_history", |b| {
         b.iter(|| {
             bundle_disagreements(
-                &mut db,
+                &db,
                 &[&q],
                 &support,
                 &EngineOptions::default(),
@@ -158,7 +158,7 @@ fn history_shrinks_work(c: &mut Criterion) {
 }
 
 fn weight_assignment(c: &mut Criterion) {
-    let mut db = world::generate(7);
+    let db = world::generate(7);
     let support = SupportSet::Neighborhood(generate_support(
         &db,
         &SupportConfig {
@@ -173,14 +173,8 @@ fn weight_assignment(c: &mut Criterion) {
     ];
     c.bench_function("assign_weights_3_points_S2000", |b| {
         b.iter(|| {
-            qirana_core::assign_weights(
-                &mut db,
-                &support,
-                100.0,
-                &points,
-                &EngineOptions::default(),
-            )
-            .unwrap()
+            qirana_core::assign_weights(&db, &support, 100.0, &points, &EngineOptions::default())
+                .unwrap()
         })
     });
 }

@@ -76,7 +76,7 @@ fn main() {
         .with_telemetry(h.telemetry());
     let delta_opts = EngineOptions::default().with_telemetry(h.telemetry());
 
-    let mut db = world::generate(seed);
+    let db = world::generate(seed);
     println!("== Delta vs full entropy-family support evaluation (world dataset) ==");
     println!(
         "{:<20} {:>6} {:>12} {:>12} {:>9}",
@@ -96,10 +96,10 @@ fn main() {
             ));
             let label = format!("{name}/S={s}");
             let (full_fps, tf) = h.time(&format!("full_{name}"), &label, || {
-                query_partition(&mut db, &q, &support, &full_opts).unwrap()
+                query_partition(&db, &q, &support, &full_opts).unwrap()
             });
             let (delta_fps, td) = h.time(&format!("delta_{name}"), &label, || {
-                query_partition(&mut db, &q, &support, &delta_opts).unwrap()
+                query_partition(&db, &q, &support, &delta_opts).unwrap()
             });
             assert_eq!(
                 full_fps, delta_fps,

@@ -39,7 +39,7 @@ fn main() {
         Parallelism::Sequential
     };
 
-    let (mut db, queries): (_, Vec<(String, String)>) = match which.as_str() {
+    let (db, queries): (_, Vec<(String, String)>) = match which.as_str() {
         "ssb" => (
             ssb::generate(sf, 5),
             ssb_queries()
@@ -100,7 +100,7 @@ fn main() {
         });
         let (_, t_nobatch) = h.time("no_batching", &name, || {
             bundle_disagreements(
-                &mut db,
+                &db,
                 &[&q],
                 &support_set,
                 &EngineOptions::no_batching().with_parallelism(par),
@@ -110,7 +110,7 @@ fn main() {
         });
         let (_, t_batch) = h.time("with_batching", &name, || {
             bundle_disagreements(
-                &mut db,
+                &db,
                 &[&q],
                 &support_set,
                 &EngineOptions::default().with_parallelism(par),
@@ -122,7 +122,7 @@ fn main() {
         if include_naive == 1 {
             let (_, t_naive) = h.time("naive", &name, || {
                 bundle_disagreements(
-                    &mut db,
+                    &db,
                     &[&q],
                     &support_set,
                     &EngineOptions::naive().with_parallelism(par),

@@ -32,7 +32,7 @@ fn main() {
     h.param("seed", seed);
     h.param("max-threads", max_threads);
 
-    let mut db = world::generate(7);
+    let db = world::generate(7);
     let support_set = SupportSet::Neighborhood(generate_support(
         &db,
         &SupportConfig {
@@ -77,7 +77,7 @@ fn main() {
                 .with_parallelism(Parallelism::Threads(n))
                 .with_telemetry(h.telemetry());
             let (bits, secs) = h.time(&format!("{name}_naive"), &format!("threads={n}"), || {
-                bundle_disagreements(&mut db, &[&q], &support_set, &opts, None).unwrap()
+                bundle_disagreements(&db, &[&q], &support_set, &opts, None).unwrap()
             });
             if n == 1 {
                 baseline = secs;
@@ -108,7 +108,7 @@ fn main() {
             let (fps, secs) = h.time(
                 &format!("{name}_partition"),
                 &format!("threads={n}"),
-                || bundle_partition(&mut db, &[&q], &support_set, &opts).unwrap(),
+                || bundle_partition(&db, &[&q], &support_set, &opts).unwrap(),
             );
             if n == 1 {
                 baseline = secs;

@@ -12,7 +12,7 @@
 
 use crate::cache::{CacheStats, PricingCache};
 use crate::engine::{
-    bundle_disagreements, bundle_partition, bundle_partition_cached, combine_bundle,
+    bundle_disagreements, bundle_partition, bundle_partition_cached, fold_bundle,
     query_disagreements_cached, query_partition, EngineOptions,
 };
 use crate::fault;
@@ -275,15 +275,6 @@ pub struct Qirana {
     /// [`PricingCache::peek_bits`]); every `&mut self` commit path goes
     /// through `Mutex::get_mut`, which is lock-free by the aliasing rules.
     cache: Mutex<PricingCache>,
-    /// Pool of scratch database replicas backing concurrent `&self`
-    /// quotes: the engine primitives take `&mut Database` (the naive and
-    /// fallback paths apply each support update in place and roll it
-    /// back), so each in-flight quote checks a replica out, prices
-    /// against it, and returns it on success. A replica that saw an error
-    /// is dropped — a failed evaluation may have died mid-rollback — and
-    /// the whole pool is discarded whenever a commit changes the stored
-    /// database.
-    scratch: Mutex<Vec<Database>>,
     /// Durable write-ahead log of market events. `None` for an in-memory
     /// broker ([`Qirana::new`]); set by [`Qirana::open`] and
     /// [`Qirana::recover`]. Every purchase and commit is appended (and
@@ -330,7 +321,6 @@ impl Qirana {
     /// degrades to uniform weights and flags itself — and every quote —
     /// [`Quote::degraded`].
     pub fn new(db: Database, cfg: QiranaConfig) -> Result<Self, BrokerError> {
-        let mut db = db;
         let attempts = cfg.retry.max_attempts.max(1);
         let mut last_err: Option<BrokerError> = None;
         for attempt in 0..attempts {
@@ -356,7 +346,7 @@ impl Qirana {
             };
             let _solve = cfg.engine.telemetry.span(Stage::Solve);
             match assign_weights_with(
-                &mut db,
+                &db,
                 &support,
                 cfg.total_price,
                 &cfg.price_points,
@@ -409,7 +399,6 @@ impl Qirana {
             tsallis_factor,
             degraded,
             cache: Mutex::new(cache),
-            scratch: Mutex::new(Vec::new()),
             ledger: None,
         }
     }
@@ -421,30 +410,6 @@ impl Qirana {
     /// recency tick, never a wrong price.
     fn cache_guard(&self) -> MutexGuard<'_, PricingCache> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Checks a scratch database replica out of the pool (cloning the
-    /// stored database when the pool is dry), runs `f` against it, and
-    /// returns the replica for reuse on success. See the field docs for
-    /// why errors drop the replica instead.
-    fn with_scratch_db<T>(
-        &self,
-        f: impl FnOnce(&mut Database) -> Result<T, BrokerError>,
-    ) -> Result<T, BrokerError> {
-        /// Bound on pooled replicas: enough for a server's worth of
-        /// concurrent quoters without letting a burst pin memory forever.
-        const MAX_POOLED: usize = 32;
-        let pooled = {
-            let mut pool = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
-            pool.pop()
-        };
-        let mut db = pooled.unwrap_or_else(|| self.db.clone());
-        let out = f(&mut db)?;
-        let mut pool = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
-        if pool.len() < MAX_POOLED {
-            pool.push(db);
-        }
-        Ok(out)
     }
 
     /// Builds a broker like [`Qirana::new`] and starts a **fresh** durable
@@ -573,12 +538,6 @@ impl Qirana {
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner)
             .restore_generation(snap.generation);
-        // Restored rows may differ from the ones the replicas were cloned
-        // from.
-        self.scratch
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
         let (shannon, tsallis) =
             entropy_factors(&self.db, &self.support, &self.weights, self.cfg.total_price);
         self.shannon_factor = shannon;
@@ -725,9 +684,9 @@ impl Qirana {
     /// The read-only pricing kernel behind the quote family. Works through
     /// `&self`: cache consultation is peek-only (no recency ticks, no
     /// insertions, no counter bumps — see [`PricingCache::peek_bits`]) and
-    /// engine evaluation runs against a pooled scratch replica of the
-    /// stored database, so concurrent quoters never contend on engine
-    /// state.
+    /// engine evaluation only reads the stored database (neighbors are row
+    /// patches), so concurrent quoters share it and never contend on
+    /// engine state.
     ///
     /// Bitwise identical to the commit-side cached pricing:
     ///
@@ -735,7 +694,7 @@ impl Qirana {
     ///   active-set short-circuit path (a skipped instance's bit is
     ///   already `true` in the OR; see `bundle_disagreements_cached`);
     /// * entropy — per-query fingerprint vectors folded instance-by-
-    ///   instance with [`combine_bundle`] equal the monolithic bundle
+    ///   instance with `combine_bundle` equal the monolithic bundle
     ///   partition (see `bundle_partition_cached`).
     fn price_bundle_readonly(&self, bundle: &[&Prepared]) -> Result<f64, BrokerError> {
         let total = self.cfg.total_price;
@@ -744,14 +703,7 @@ impl Qirana {
             let partition = if use_cache {
                 self.bundle_partition_peeked(bundle)?
             } else {
-                self.with_scratch_db(|db| {
-                    Ok(bundle_partition(
-                        db,
-                        bundle,
-                        &self.support,
-                        &self.cfg.engine,
-                    )?)
-                })?
+                bundle_partition(&self.db, bundle, &self.support, &self.cfg.engine)?
             };
             Ok(
                 partition_price(self.cfg.function, total, &self.weights, &partition)?
@@ -761,15 +713,7 @@ impl Qirana {
             let bits = if use_cache {
                 self.bundle_disagreements_peeked(bundle)?
             } else {
-                self.with_scratch_db(|db| {
-                    Ok(bundle_disagreements(
-                        db,
-                        bundle,
-                        &self.support,
-                        &self.cfg.engine,
-                        None,
-                    )?)
-                })?
+                bundle_disagreements(&self.db, bundle, &self.support, &self.cfg.engine, None)?
             };
             Ok(coverage_price(
                 self.cfg.function,
@@ -782,8 +726,8 @@ impl Qirana {
 
     /// Peek-only counterpart of `bundle_disagreements_cached`: ORs each
     /// member's full bitmap, serving hits from the memo without touching
-    /// recency and computing misses on a scratch replica without inserting
-    /// them (only buys populate the cache). The top-of-path failpoint
+    /// recency and computing misses against the stored database without
+    /// inserting them (only buys populate the cache). The top-of-path failpoint
     /// mirrors the cached engine entry point.
     fn bundle_disagreements_peeked(&self, bundle: &[&Prepared]) -> Result<Vec<bool>, BrokerError> {
         fault::check(fault::ENGINE_EXECUTE)
@@ -800,7 +744,7 @@ impl Qirana {
     }
 
     /// One query's full disagreement bitmap: peek the memo, else evaluate
-    /// on a scratch replica. Never writes the cache.
+    /// against the stored database. Never writes the cache.
     fn query_disagreements_peeked(&self, q: &Prepared) -> Result<Arc<Vec<bool>>, BrokerError> {
         let tel = &self.cfg.engine.telemetry;
         {
@@ -811,21 +755,13 @@ impl Qirana {
             }
             lookup.count("miss", 1);
         }
-        let bits = self.with_scratch_db(|db| {
-            Ok(bundle_disagreements(
-                db,
-                &[q],
-                &self.support,
-                &self.cfg.engine,
-                None,
-            )?)
-        })?;
+        let bits = bundle_disagreements(&self.db, &[q], &self.support, &self.cfg.engine, None)?;
         Ok(Arc::new(bits))
     }
 
     /// Peek-only counterpart of `bundle_partition_cached`: per-query
-    /// fingerprint vectors (memo peek or scratch-replica evaluation)
-    /// folded instance-by-instance with [`combine_bundle`].
+    /// fingerprint vectors (memo peek or evaluation) folded
+    /// instance-by-instance by [`fold_bundle`].
     fn bundle_partition_peeked(
         &self,
         bundle: &[&Prepared],
@@ -836,20 +772,11 @@ impl Qirana {
         for q in bundle {
             per_query.push(self.query_fingerprints_peeked(q)?);
         }
-        let n = self.support.len();
-        let mut row = vec![Fingerprint(0); bundle.len()];
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            for (slot, fps) in row.iter_mut().zip(&per_query) {
-                *slot = fps[i];
-            }
-            out.push(combine_bundle(&row));
-        }
-        Ok(out)
+        Ok(fold_bundle(&per_query, self.support.len()))
     }
 
     /// One query's per-instance output fingerprints: peek the memo, else
-    /// evaluate on a scratch replica. Never writes the cache.
+    /// evaluate against the stored database. Never writes the cache.
     fn query_fingerprints_peeked(
         &self,
         q: &Prepared,
@@ -863,8 +790,7 @@ impl Qirana {
             }
             lookup.count("miss", 1);
         }
-        let fps = self
-            .with_scratch_db(|db| Ok(query_partition(db, q, &self.support, &self.cfg.engine)?))?;
+        let fps = query_partition(&self.db, q, &self.support, &self.cfg.engine)?;
         Ok(Arc::new(fps))
     }
 
@@ -920,7 +846,7 @@ impl Qirana {
             let factor = self.entropy_factor();
             let partition = if use_cache {
                 bundle_partition_cached(
-                    &mut self.db,
+                    &self.db,
                     &bundle,
                     &self.support,
                     &self.cfg.engine,
@@ -929,7 +855,7 @@ impl Qirana {
                     self.cache.get_mut().unwrap_or_else(PoisonError::into_inner),
                 )?
             } else {
-                bundle_partition(&mut self.db, &bundle, &self.support, &self.cfg.engine)?
+                bundle_partition(&self.db, &bundle, &self.support, &self.cfg.engine)?
             };
             let total_now = partition_price(
                 self.cfg.function,
@@ -973,7 +899,7 @@ impl Qirana {
                 // bitwise identical to skip-evaluating, since per-instance
                 // verdicts are independent.
                 let full = query_disagreements_cached(
-                    &mut self.db,
+                    &self.db,
                     &prepared,
                     &self.support,
                     &self.cfg.engine,
@@ -988,7 +914,7 @@ impl Qirana {
                 full.iter().zip(&charged).map(|(&b, &c)| b && !c).collect()
             } else {
                 bundle_disagreements(
-                    &mut self.db,
+                    &self.db,
                     &[&prepared],
                     &self.support,
                     &self.cfg.engine,
@@ -1190,12 +1116,6 @@ impl Qirana {
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner)
             .bump_generation();
-        // Scratch replicas mirror the *old* rows; quoting against one
-        // after a commit would price the stale database.
-        self.scratch
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
         let (shannon, tsallis) =
             entropy_factors(&self.db, &self.support, &self.weights, self.cfg.total_price);
         self.shannon_factor = shannon;

@@ -41,23 +41,25 @@
 //!   base by construction — no execution at all.
 //!
 //! Fallback policy: any guard trip, eval error, or modeling doubt routes
-//! that one neighbor through full plan execution on a lazily cloned
-//! database, so the delta path can never invent or suppress a result the
-//! full-execution path wouldn't produce. A build-time self-check
+//! that one neighbor through full plan execution over the update's row
+//! patch — the same execution the full path runs — so the delta path can
+//! never invent or suppress a result the full-execution path wouldn't
+//! produce. A build-time self-check
 //! reconstructs the base fingerprint from the materialized state and
 //! declines ([`DeltaState::Ineligible`]) on any mismatch.
 
 use crate::engine::bag_fp;
+use crate::naive::neighbor_fp;
 use crate::normal_form::{Prepared, Shape};
+use crate::parallel::run_indexed;
 use crate::telemetry::Telemetry;
 use crate::update::SupportUpdate;
 use qirana_sqlengine::ast::BinaryOp;
 use qirana_sqlengine::exec::eval_row_expr;
 use qirana_sqlengine::plan::{AggSpec, Projection};
-use qirana_sqlengine::update::apply_writes;
 use qirana_sqlengine::{
-    execute, output_row_hash, Database, EngineError, ExecContext, Fingerprint, PExpr, PRelation,
-    ResolvedSelect, Row, Value,
+    execute, output_row_hash, Database, EngineError, ExecBudget, ExecContext, Fingerprint, PExpr,
+    PRelation, ResolvedSelect, Row, Value,
 };
 use std::collections::{BTreeMap, HashSet};
 
@@ -1260,14 +1262,13 @@ enum Outcome {
     Fellback(Fingerprint),
 }
 
-/// Evaluates one neighbor: delta probe, or full plan execution on a
-/// lazily-cloned scratch database when a guard trips.
+/// Evaluates one neighbor: delta probe, or full plan execution through the
+/// update's row patch when a guard trips.
 fn evaluate(
     db: &Database,
     q: &Prepared,
     state: &DeltaState,
     up: &SupportUpdate,
-    scratch: &mut Option<Database>,
 ) -> Result<Outcome, EngineError> {
     let inner = match state {
         DeltaState::Spj(d) => d.try_probe(db, &q.plan, up),
@@ -1277,13 +1278,12 @@ fn evaluate(
     match inner {
         InnerProbe::Base => Ok(Outcome::Base),
         InnerProbe::Fp(fp) => Ok(Outcome::Computed(fp)),
-        InnerProbe::NeedFallback => {
-            let clone = scratch.get_or_insert_with(|| db.clone());
-            let undo = up.apply(clone);
-            let fp = execute(&q.plan, &ExecContext::new(clone)).map(bag_fp);
-            apply_writes(clone, &undo);
-            Ok(Outcome::Fellback(fp?))
-        }
+        InnerProbe::NeedFallback => Ok(Outcome::Fellback(neighbor_fp(
+            db,
+            q,
+            up,
+            ExecBudget::UNLIMITED,
+        )?)),
     }
 }
 
@@ -1300,22 +1300,12 @@ pub(crate) fn query_fps_nbrs(
     let Some(base) = state.base_fp() else {
         return Err(EngineError::Eval("delta probe on ineligible state".into()));
     };
-    let outcomes: Vec<Outcome> = if workers > 1 {
-        crate::parallel::run_indexed(
-            updates.len(),
-            workers,
-            || None::<Database>,
-            |scratch, i| evaluate(db, q, state, &updates[i], scratch),
-            tel,
-        )?
-    } else {
-        let mut scratch = None;
-        let mut out = Vec::with_capacity(updates.len());
-        for up in updates {
-            out.push(evaluate(db, q, state, up, &mut scratch)?);
-        }
-        out
-    };
+    let outcomes = run_indexed(
+        updates.len(),
+        workers,
+        |i| evaluate(db, q, state, &updates[i]),
+        tel,
+    )?;
     let mut stats = ProbeStats {
         probes: outcomes.len() as u64,
         ..ProbeStats::default()
@@ -1340,10 +1330,11 @@ pub(crate) fn query_fps_nbrs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineOptions;
     use crate::naive;
     use crate::normal_form::prepare_query;
     use crate::support::{generate_support, SupportConfig};
-    use qirana_sqlengine::{ColumnDef, DataType, ExecBudget, TableSchema};
+    use qirana_sqlengine::{ColumnDef, DataType, TableSchema};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -1395,7 +1386,7 @@ mod tests {
     }
 
     fn assert_delta_matches_naive(sql: &str, workers: usize) {
-        let mut database = db();
+        let database = db();
         let updates = support(&database, 160);
         let q = prepare_query(&database, sql).unwrap();
         let state = build(&database, &q).unwrap();
@@ -1403,7 +1394,7 @@ mod tests {
         let tel = Telemetry::disabled();
         let (fps, _) = query_fps_nbrs(&database, &q, &state, &updates, workers, &tel).unwrap();
         let naive_fps =
-            naive::query_fps_nbrs(&mut database, &q, &updates, ExecBudget::UNLIMITED).unwrap();
+            naive::query_fps_nbrs(&database, &q, &updates, &EngineOptions::naive()).unwrap();
         assert_eq!(fps, naive_fps, "fps diverged for {sql}");
         // The coverage verdict read off the delta fingerprints matches the
         // naive disagreement bits too.
@@ -1411,7 +1402,7 @@ mod tests {
         let bits: Vec<bool> = fps.iter().map(|&fp| fp != base).collect();
         let active = vec![true; updates.len()];
         let naive_bits =
-            naive::disagreements_nbrs(&mut database, &q, &updates, &active, ExecBudget::UNLIMITED)
+            naive::disagreements_nbrs(&database, &q, &updates, &active, &EngineOptions::naive())
                 .unwrap();
         assert_eq!(bits, naive_bits, "bits diverged for {sql}");
     }
@@ -1450,7 +1441,7 @@ mod tests {
     fn join_key_swaps_match_naive() {
         // Swaps that move the join key relocate rows across hash buckets —
         // the delta must still agree with full execution bitwise.
-        let mut database = db();
+        let database = db();
         let q =
             prepare_query(&database, "select T.grp, U.w from T, U where T.id = U.t_id").unwrap();
         let updates: Vec<SupportUpdate> = (0..10)
@@ -1465,14 +1456,14 @@ mod tests {
         let tel = Telemetry::disabled();
         let (fps, stats) = query_fps_nbrs(&database, &q, &state, &updates, 1, &tel).unwrap();
         let naive_fps =
-            naive::query_fps_nbrs(&mut database, &q, &updates, ExecBudget::UNLIMITED).unwrap();
+            naive::query_fps_nbrs(&database, &q, &updates, &EngineOptions::naive()).unwrap();
         assert_eq!(fps, naive_fps);
         assert_eq!(stats.probes, 10);
     }
 
     #[test]
     fn unreferenced_table_short_circuits() {
-        let mut database = db();
+        let database = db();
         let q = prepare_query(&database, "select v from T where v > 3").unwrap();
         let updates: Vec<SupportUpdate> = (0..6)
             .map(|i| SupportUpdate::Row {
@@ -1488,7 +1479,7 @@ mod tests {
         assert_eq!(stats.short_circuits, 6);
         assert_eq!(stats.fallbacks, 0);
         let naive_fps =
-            naive::query_fps_nbrs(&mut database, &q, &updates, ExecBudget::UNLIMITED).unwrap();
+            naive::query_fps_nbrs(&database, &q, &updates, &EngineOptions::naive()).unwrap();
         assert_eq!(fps, naive_fps);
     }
 
@@ -1507,15 +1498,15 @@ mod tests {
         let tel = Telemetry::disabled();
         let (fps, stats) = query_fps_nbrs(&database, &q, &state, &updates, 1, &tel).unwrap();
         assert_eq!(stats.short_circuits, 1);
-        let mut database = db();
+        let database = db();
         let naive_fps =
-            naive::query_fps_nbrs(&mut database, &q, &updates, ExecBudget::UNLIMITED).unwrap();
+            naive::query_fps_nbrs(&database, &q, &updates, &EngineOptions::naive()).unwrap();
         assert_eq!(fps, naive_fps);
     }
 
     #[test]
     fn noop_swap_short_circuits_via_effective_columns() {
-        let mut database = db();
+        let database = db();
         // Rows 0 and 3 of T share grp 'a' (0 % 3 == 3 % 3 == 0): the swap
         // declares grp changed but effectively changes nothing.
         let up = SupportUpdate::Swap {
@@ -1532,7 +1523,7 @@ mod tests {
         let (fps, stats) = query_fps_nbrs(&database, &q, &state, &updates, 1, &tel).unwrap();
         assert_eq!(stats.short_circuits, 1, "declared-but-ineffective swap");
         let naive_fps =
-            naive::query_fps_nbrs(&mut database, &q, &updates, ExecBudget::UNLIMITED).unwrap();
+            naive::query_fps_nbrs(&database, &q, &updates, &EngineOptions::naive()).unwrap();
         assert_eq!(fps, naive_fps);
     }
 
@@ -1554,7 +1545,7 @@ mod tests {
         // Global aggregate over an empty filter result: the executor
         // synthesizes one all-NULL-sourced row; neighbors can create and
         // destroy real groups around it.
-        let mut database = db();
+        let database = db();
         let q = prepare_query(&database, "select count(*), sum(v) from T where v > 1000").unwrap();
         let updates = support(&database, 80);
         let state = build(&database, &q).unwrap();
@@ -1562,7 +1553,7 @@ mod tests {
         let tel = Telemetry::disabled();
         let (fps, _) = query_fps_nbrs(&database, &q, &state, &updates, 1, &tel).unwrap();
         let naive_fps =
-            naive::query_fps_nbrs(&mut database, &q, &updates, ExecBudget::UNLIMITED).unwrap();
+            naive::query_fps_nbrs(&database, &q, &updates, &EngineOptions::naive()).unwrap();
         assert_eq!(fps, naive_fps);
     }
 
@@ -1600,7 +1591,7 @@ mod tests {
         let (fps, stats) = query_fps_nbrs(&database, &q, &state, &updates, 1, &tel).unwrap();
         assert_eq!(stats.fallbacks, 8, "float sums must route to fallback");
         let naive_fps =
-            naive::query_fps_nbrs(&mut database, &q, &updates, ExecBudget::UNLIMITED).unwrap();
+            naive::query_fps_nbrs(&database, &q, &updates, &EngineOptions::naive()).unwrap();
         assert_eq!(fps, naive_fps);
     }
 }

@@ -21,7 +21,7 @@ use crate::fault;
 use crate::naive;
 use crate::normal_form::{Prepared, Shape};
 use crate::optimized;
-use crate::parallel::{self, Parallelism};
+use crate::parallel::Parallelism;
 use crate::support::SupportSet;
 use crate::telemetry::{Stage, Telemetry};
 use crate::update::SupportUpdate;
@@ -184,7 +184,10 @@ pub fn combine_bundle(fps: &[Fingerprint]) -> Fingerprint {
 
 /// Folds per-query fingerprint vectors instance by instance with
 /// [`combine_bundle`], in member order.
-fn fold_bundle<V: Borrow<Vec<Fingerprint>>>(per_query: &[V], n: usize) -> Vec<Fingerprint> {
+pub(crate) fn fold_bundle<V: Borrow<Vec<Fingerprint>>>(
+    per_query: &[V],
+    n: usize,
+) -> Vec<Fingerprint> {
     let mut row = vec![Fingerprint(0); per_query.len()];
     (0..n)
         .map(|i| {
@@ -256,10 +259,9 @@ fn record_probe_stats(tel: &Telemetry, stats: ProbeStats) {
 /// (Algorithm 3), which also makes repeat pricing *faster*, as §5.3
 /// observes.
 ///
-/// `db` is `&mut` because the naive and aggregate-fallback paths apply each
-/// update and roll it back; the database is unchanged on return.
+/// Neighbors are read through row patches, so `db` is only read.
 pub fn bundle_disagreements(
-    db: &mut Database,
+    db: &Database,
     bundle: &[&Prepared],
     support: &SupportSet,
     opts: &EngineOptions,
@@ -289,18 +291,13 @@ pub fn bundle_disagreements(
         } else {
             tel.span(Stage::Disagreement)
         };
-        let workers = opts.parallelism.workers(n);
         // One `evaluator_*_total` count per member: `batched` is the §4
         // optimizer (batched unless `batch` is off), `full` per-instance
         // execution.
         let (evaluator, bits) = match support {
-            SupportSet::Uniform(worlds) if workers > 1 => (
-                "evaluator_full_total",
-                parallel::disagreements_uniform(db, q, worlds, &active, opts.budget, workers, tel),
-            ),
             SupportSet::Uniform(worlds) => (
                 "evaluator_full_total",
-                naive::disagreements_uniform(db, q, worlds, &active, opts.budget),
+                naive::disagreements_uniform(db, q, worlds, &active, opts),
             ),
             SupportSet::Neighborhood(updates) => match &q.shape {
                 Shape::Spj(s) if opts.optimize => (
@@ -315,21 +312,9 @@ pub fn bundle_disagreements(
                     "evaluator_reduced_total",
                     naive::reduced_disagreements(db, q, updates, &active, opts.budget),
                 ),
-                _ if workers > 1 => (
-                    "evaluator_full_total",
-                    parallel::disagreements_nbrs(
-                        db,
-                        q,
-                        updates,
-                        &active,
-                        opts.budget,
-                        workers,
-                        tel,
-                    ),
-                ),
                 _ => (
                     "evaluator_full_total",
-                    naive::disagreements_nbrs(db, q, updates, &active, opts.budget),
+                    naive::disagreements_nbrs(db, q, updates, &active, opts),
                 ),
             },
         };
@@ -362,7 +347,7 @@ pub fn bundle_disagreements(
 /// executions out across `opts.parallelism` workers (fingerprints are
 /// identical for any worker count; see [`crate::parallel`]).
 pub fn bundle_partition(
-    db: &mut Database,
+    db: &Database,
     bundle: &[&Prepared],
     support: &SupportSet,
     opts: &EngineOptions,
@@ -373,7 +358,7 @@ pub fn bundle_partition(
 /// One query's per-neighbor output fingerprints, served by the delta
 /// evaluator when it applies and by full per-instance execution otherwise.
 fn query_fps_neighborhood(
-    db: &mut Database,
+    db: &Database,
     q: &Prepared,
     updates: &[SupportUpdate],
     opts: &EngineOptions,
@@ -397,20 +382,13 @@ fn query_fps_neighborhood(
         }
     }
     tel.counter_add("evaluator_full_total", 1);
-    meter_trips(
-        tel,
-        if workers > 1 {
-            parallel::query_fps_nbrs(db, q, updates, opts.budget, workers, tel)
-        } else {
-            naive::query_fps_nbrs(db, q, updates, opts.budget)
-        },
-    )
+    meter_trips(tel, naive::query_fps_nbrs(db, q, updates, opts))
 }
 
 /// [`bundle_partition`] with an optional pricing cache for delta-state
 /// reuse.
 fn bundle_partition_impl(
-    db: &mut Database,
+    db: &Database,
     bundle: &[&Prepared],
     support: &SupportSet,
     opts: &EngineOptions,
@@ -448,22 +426,11 @@ fn bundle_partition_impl(
         }
     }
     tel.counter_add("evaluator_full_total", bundle.len() as u64);
-    let workers = opts.parallelism.workers(n);
     meter_trips(
         tel,
         match support {
-            SupportSet::Neighborhood(updates) if workers > 1 => {
-                parallel::partition_nbrs(db, bundle, updates, opts.budget, workers, tel)
-            }
-            SupportSet::Neighborhood(updates) => {
-                naive::partition_nbrs(db, bundle, updates, opts.budget)
-            }
-            SupportSet::Uniform(worlds) if workers > 1 => {
-                parallel::partition_uniform(bundle, worlds, opts.budget, workers, tel)
-            }
-            SupportSet::Uniform(worlds) => {
-                naive::partition_uniform(db, bundle, worlds, opts.budget)
-            }
+            SupportSet::Neighborhood(updates) => naive::partition_nbrs(db, bundle, updates, opts),
+            SupportSet::Uniform(worlds) => naive::partition_uniform(bundle, worlds, opts),
         },
     )
 }
@@ -478,7 +445,7 @@ fn bundle_partition_impl(
 /// skipping an instance only suppresses its evaluation, never changes
 /// another's bit.
 pub fn query_disagreements_cached(
-    db: &mut Database,
+    db: &Database,
     q: &Prepared,
     support: &SupportSet,
     opts: &EngineOptions,
@@ -505,7 +472,7 @@ pub fn query_disagreements_cached(
 /// short-circuit only skips instances already known to disagree, and a
 /// skipped instance's bit is already `true` in the OR.
 pub fn bundle_disagreements_cached(
-    db: &mut Database,
+    db: &Database,
     bundle: &[&Prepared],
     support: &SupportSet,
     opts: &EngineOptions,
@@ -527,7 +494,7 @@ pub fn bundle_disagreements_cached(
 /// A single query's per-instance output fingerprints (the entropy-family
 /// cache primitive), computed without memoization.
 pub fn query_partition(
-    db: &mut Database,
+    db: &Database,
     q: &Prepared,
     support: &SupportSet,
     opts: &EngineOptions,
@@ -538,7 +505,7 @@ pub fn query_partition(
 /// [`query_partition`] with an optional pricing cache for delta-state
 /// reuse.
 fn query_partition_impl(
-    db: &mut Database,
+    db: &Database,
     q: &Prepared,
     support: &SupportSet,
     opts: &EngineOptions,
@@ -560,15 +527,7 @@ fn query_partition_impl(
         SupportSet::Neighborhood(updates) => query_fps_neighborhood(db, q, updates, opts, cache),
         SupportSet::Uniform(worlds) => {
             tel.counter_add("evaluator_full_total", 1);
-            let workers = opts.parallelism.workers(n);
-            meter_trips(
-                tel,
-                if workers > 1 {
-                    parallel::query_fps_uniform(q, worlds, opts.budget, workers, tel)
-                } else {
-                    naive::query_fps_uniform(q, worlds, opts.budget)
-                },
-            )
+            meter_trips(tel, naive::query_fps_uniform(q, worlds, opts))
         }
     }
 }
@@ -576,7 +535,7 @@ fn query_partition_impl(
 /// [`query_partition`], memoized in `cache` under the query's plan
 /// fingerprint.
 pub fn query_fingerprints_cached(
-    db: &mut Database,
+    db: &Database,
     q: &Prepared,
     support: &SupportSet,
     opts: &EngineOptions,
@@ -605,7 +564,7 @@ pub fn query_fingerprints_cached(
 /// reuse and execution agree), and the fold applies the same
 /// order-sensitive combiner to the same member order.
 pub fn bundle_partition_cached(
-    db: &mut Database,
+    db: &Database,
     bundle: &[&Prepared],
     support: &SupportSet,
     opts: &EngineOptions,
@@ -653,7 +612,7 @@ mod tests {
     /// same disagreement bits as the naive baseline.
     #[test]
     fn optimizer_matches_naive_on_bundle() {
-        let mut database = db();
+        let database = db();
         let support = SupportSet::Neighborhood(generate_support(
             &database,
             &SupportConfig {
@@ -672,47 +631,18 @@ mod tests {
             .collect();
         let bundle: Vec<&Prepared> = prepared.iter().collect();
 
-        let naive = bundle_disagreements(
-            &mut database,
-            &bundle,
-            &support,
-            &EngineOptions::naive(),
-            None,
-        )
-        .unwrap();
+        let naive =
+            bundle_disagreements(&database, &bundle, &support, &EngineOptions::naive(), None)
+                .unwrap();
         for opts in [EngineOptions::default(), EngineOptions::no_batching()] {
-            let got = bundle_disagreements(&mut database, &bundle, &support, &opts, None).unwrap();
+            let got = bundle_disagreements(&database, &bundle, &support, &opts, None).unwrap();
             assert_eq!(got, naive, "mismatch under {opts:?}");
         }
     }
 
     #[test]
-    fn database_unchanged_after_pricing() {
-        let mut database = db();
-        let before = database.table("User").unwrap().rows.clone();
-        let support = SupportSet::Neighborhood(generate_support(
-            &database,
-            &SupportConfig {
-                size: 100,
-                ..Default::default()
-            },
-        ));
-        let q = prepare_query(&database, "select avg(age) from User").unwrap();
-        bundle_disagreements(
-            &mut database,
-            &[&q],
-            &support,
-            &EngineOptions::default(),
-            None,
-        )
-        .unwrap();
-        bundle_partition(&mut database, &[&q], &support, &EngineOptions::default()).unwrap();
-        assert_eq!(database.table("User").unwrap().rows, before);
-    }
-
-    #[test]
     fn skip_suppresses_evaluation() {
-        let mut database = db();
+        let database = db();
         let support = SupportSet::Neighborhood(generate_support(
             &database,
             &SupportConfig {
@@ -723,7 +653,7 @@ mod tests {
         let q = prepare_query(&database, "select * from User").unwrap();
         let skip = vec![true; 50];
         let bits = bundle_disagreements(
-            &mut database,
+            &database,
             &[&q],
             &support,
             &EngineOptions::default(),
@@ -735,7 +665,7 @@ mod tests {
 
     #[test]
     fn full_dataset_query_disagrees_everywhere() {
-        let mut database = db();
+        let database = db();
         let support = SupportSet::Neighborhood(generate_support(
             &database,
             &SupportConfig {
@@ -744,14 +674,9 @@ mod tests {
             },
         ));
         let q = prepare_query(&database, "select * from User").unwrap();
-        let bits = bundle_disagreements(
-            &mut database,
-            &[&q],
-            &support,
-            &EngineOptions::default(),
-            None,
-        )
-        .unwrap();
+        let bits =
+            bundle_disagreements(&database, &[&q], &support, &EngineOptions::default(), None)
+                .unwrap();
         assert!(
             bits.iter().all(|&b| b),
             "every neighbor differs from D, so Q_all must disagree everywhere"
@@ -780,14 +705,9 @@ mod tests {
             },
         ));
         let q = prepare_query(&database, "select 1 from Other where v = 2").unwrap();
-        let bits = bundle_disagreements(
-            &mut database,
-            &[&q],
-            &support,
-            &EngineOptions::default(),
-            None,
-        )
-        .unwrap();
+        let bits =
+            bundle_disagreements(&database, &[&q], &support, &EngineOptions::default(), None)
+                .unwrap();
         // Only updates touching Other can flip bits; verify against which
         // updates touch table index 1.
         let SupportSet::Neighborhood(updates) = &support else {
@@ -802,7 +722,7 @@ mod tests {
 
     #[test]
     fn cached_paths_match_uncached_bitwise() {
-        let mut database = db();
+        let database = db();
         let support = SupportSet::Neighborhood(generate_support(
             &database,
             &SupportConfig {
@@ -823,19 +743,18 @@ mod tests {
         let opts = EngineOptions::default();
         let mut cache = PricingCache::new(64);
 
-        let bits = bundle_disagreements(&mut database, &bundle, &support, &opts, None).unwrap();
+        let bits = bundle_disagreements(&database, &bundle, &support, &opts, None).unwrap();
         // Cold (all misses) and warm (all hits) must both agree bitwise.
         for round in 0..2 {
             let cached =
-                bundle_disagreements_cached(&mut database, &bundle, &support, &opts, &mut cache)
+                bundle_disagreements_cached(&database, &bundle, &support, &opts, &mut cache)
                     .unwrap();
             assert_eq!(cached, bits, "round {round}");
         }
-        let part = bundle_partition(&mut database, &bundle, &support, &opts).unwrap();
+        let part = bundle_partition(&database, &bundle, &support, &opts).unwrap();
         for round in 0..2 {
             let cached =
-                bundle_partition_cached(&mut database, &bundle, &support, &opts, &mut cache)
-                    .unwrap();
+                bundle_partition_cached(&database, &bundle, &support, &opts, &mut cache).unwrap();
             assert_eq!(cached, part, "round {round}");
         }
         let s = cache.stats();
@@ -848,7 +767,7 @@ mod tests {
     /// cached and uncached.
     #[test]
     fn delta_paths_match_full_bitwise() {
-        let mut database = db();
+        let database = db();
         let support = SupportSet::Neighborhood(generate_support(
             &database,
             &SupportConfig {
@@ -869,25 +788,24 @@ mod tests {
         let bundle: Vec<&Prepared> = prepared.iter().collect();
 
         let off = EngineOptions::default().with_delta(false);
-        let bits_full = bundle_disagreements(&mut database, &bundle, &support, &off, None).unwrap();
-        let part_full = bundle_partition(&mut database, &bundle, &support, &off).unwrap();
+        let bits_full = bundle_disagreements(&database, &bundle, &support, &off, None).unwrap();
+        let part_full = bundle_partition(&database, &bundle, &support, &off).unwrap();
 
         for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
             let on = EngineOptions::default().with_parallelism(par);
-            let bits = bundle_disagreements(&mut database, &bundle, &support, &on, None).unwrap();
+            let bits = bundle_disagreements(&database, &bundle, &support, &on, None).unwrap();
             assert_eq!(bits, bits_full, "coverage mismatch under {par:?}");
-            let part = bundle_partition(&mut database, &bundle, &support, &on).unwrap();
+            let part = bundle_partition(&database, &bundle, &support, &on).unwrap();
             assert_eq!(part, part_full, "entropy mismatch under {par:?}");
 
             let mut cache = PricingCache::new(64);
             for round in 0..2 {
                 let cached =
-                    bundle_disagreements_cached(&mut database, &bundle, &support, &on, &mut cache)
+                    bundle_disagreements_cached(&database, &bundle, &support, &on, &mut cache)
                         .unwrap();
                 assert_eq!(cached, bits_full, "cached coverage, round {round}");
                 let cached =
-                    bundle_partition_cached(&mut database, &bundle, &support, &on, &mut cache)
-                        .unwrap();
+                    bundle_partition_cached(&database, &bundle, &support, &on, &mut cache).unwrap();
                 assert_eq!(cached, part_full, "cached entropy, round {round}");
             }
         }
@@ -897,7 +815,7 @@ mod tests {
     /// built once per plan rather than once per purchase.
     #[test]
     fn delta_counters_and_cached_builds() {
-        let mut database = db();
+        let database = db();
         let support = SupportSet::Neighborhood(generate_support(
             &database,
             &SupportConfig {
@@ -909,7 +827,7 @@ mod tests {
         let opts = EngineOptions::default().with_telemetry(Telemetry::enabled());
         let mut cache = PricingCache::new(16);
         for _ in 0..3 {
-            query_fingerprints_cached(&mut database, &q, &support, &opts, &mut cache).unwrap();
+            query_fingerprints_cached(&database, &q, &support, &opts, &mut cache).unwrap();
         }
         let sink = opts.telemetry.sink().map(Arc::clone).unwrap();
         assert_eq!(
@@ -934,7 +852,7 @@ mod tests {
     #[test]
     fn coverage_is_batched_and_entropy_is_delta() {
         const S: usize = 150;
-        let mut database = db();
+        let database = db();
         let support = SupportSet::Neighborhood(generate_support(
             &database,
             &SupportConfig {
@@ -953,14 +871,14 @@ mod tests {
 
         let opts = EngineOptions::default().with_telemetry(Telemetry::enabled());
         let sink = opts.telemetry.sink().map(Arc::clone).unwrap();
-        bundle_disagreements(&mut database, &bundle, &support, &opts, None).unwrap();
+        bundle_disagreements(&database, &bundle, &support, &opts, None).unwrap();
         assert_eq!(sink.counter("delta_builds_total"), 0);
         assert_eq!(sink.counter("delta_probes_total"), 0);
         assert_eq!(sink.counter("evaluator_batched_total"), 2, "one per member");
         assert_eq!(sink.counter("evaluator_delta_total"), 0);
         assert_eq!(sink.counter("evaluator_full_total"), 0);
 
-        bundle_partition(&mut database, &bundle, &support, &opts).unwrap();
+        bundle_partition(&database, &bundle, &support, &opts).unwrap();
         assert_eq!(sink.counter("delta_builds_total"), 2);
         assert_eq!(
             sink.counter("delta_probes_total"),

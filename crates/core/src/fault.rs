@@ -246,24 +246,32 @@ pub fn serialize_tests() -> MutexGuard<'static, ()> {
 mod tests {
     use super::*;
 
+    // Test-only failpoints: no library code checks these names, so engine
+    // and broker tests running concurrently can never consume (or trip on)
+    // a fault these tests arm.
+    const FP_A: &str = "test::fault_a";
+    const FP_B: &str = "test::fault_b";
+    const FP_C: &str = "test::fault_c";
+    const FP_D: &str = "test::fault_d";
+
     #[test]
     fn disabled_checks_are_ok() {
         let _guard = serialize_tests();
         reset();
-        assert!(check(SUPPORT_GENERATE).is_ok());
-        assert!(check(WEIGHTS_ASSIGN).is_ok());
+        assert!(check(FP_A).is_ok());
+        assert!(check(FP_B).is_ok());
     }
 
     #[test]
     fn once_fires_exactly_once() {
         let _guard = serialize_tests();
         reset();
-        arm(ENGINE_EXECUTE, Trigger::Once);
-        assert!(check(ENGINE_EXECUTE).is_err());
-        assert!(check(ENGINE_EXECUTE).is_ok());
-        assert!(check(ENGINE_EXECUTE).is_ok());
-        assert_eq!(fired_count(ENGINE_EXECUTE), 1);
-        assert_eq!(hit_count(ENGINE_EXECUTE), 3);
+        arm(FP_C, Trigger::Once);
+        assert!(check(FP_C).is_err());
+        assert!(check(FP_C).is_ok());
+        assert!(check(FP_C).is_ok());
+        assert_eq!(fired_count(FP_C), 1);
+        assert_eq!(hit_count(FP_C), 3);
         reset();
     }
 
@@ -271,12 +279,12 @@ mod tests {
     fn nth_fires_on_exact_hit() {
         let _guard = serialize_tests();
         reset();
-        arm(BROKER_BUY, Trigger::Nth(3));
-        assert!(check(BROKER_BUY).is_ok());
-        assert!(check(BROKER_BUY).is_ok());
-        let err = check(BROKER_BUY).unwrap_err();
+        arm(FP_D, Trigger::Nth(3));
+        assert!(check(FP_D).is_ok());
+        assert!(check(FP_D).is_ok());
+        let err = check(FP_D).unwrap_err();
         assert_eq!(err.hit, 3);
-        assert!(check(BROKER_BUY).is_ok());
+        assert!(check(FP_D).is_ok());
         reset();
     }
 
@@ -284,12 +292,12 @@ mod tests {
     fn always_fires_until_disarmed() {
         let _guard = serialize_tests();
         reset();
-        arm(SUPPORT_GENERATE, Trigger::Always);
+        arm(FP_A, Trigger::Always);
         for _ in 0..5 {
-            assert!(check(SUPPORT_GENERATE).is_err());
+            assert!(check(FP_A).is_err());
         }
-        disarm(SUPPORT_GENERATE);
-        assert!(check(SUPPORT_GENERATE).is_ok());
+        disarm(FP_A);
+        assert!(check(FP_A).is_ok());
         reset();
     }
 
@@ -304,10 +312,8 @@ mod tests {
         };
         let run = |trigger| {
             reset();
-            arm(WEIGHTS_ASSIGN, trigger);
-            (0..30)
-                .map(|_| check(WEIGHTS_ASSIGN).is_err())
-                .collect::<Vec<_>>()
+            arm(FP_B, trigger);
+            (0..30).map(|_| check(FP_B).is_err()).collect::<Vec<_>>()
         };
         let a = run(trigger);
         let b = run(trigger);
@@ -347,9 +353,9 @@ mod tests {
     fn arming_is_per_failpoint() {
         let _guard = serialize_tests();
         reset();
-        arm(WEIGHTS_ASSIGN, Trigger::Always);
-        assert!(check(ENGINE_EXECUTE).is_ok(), "other failpoints unaffected");
-        assert!(check(WEIGHTS_ASSIGN).is_err());
+        arm(FP_B, Trigger::Always);
+        assert!(check(FP_C).is_ok(), "other failpoints unaffected");
+        assert!(check(FP_B).is_err());
         reset();
     }
 }

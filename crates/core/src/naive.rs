@@ -1,39 +1,71 @@
 //! Naive pricing evaluation: run the query on every support instance
 //! (Algorithms 1 and 2 verbatim), plus Appendix A's *instance reduction*
 //! optimization of that baseline.
+//!
+//! A neighbor is read through its update's row patch
+//! ([`SupportUpdate::patch`]) and never written, so each loop takes
+//! `&Database` and runs on [`run_indexed`]: inline for one worker, across
+//! `opts.parallelism` workers otherwise, with identical results.
 
-use crate::engine::{bag_fp, combine_bundle};
+use crate::engine::{bag_fp, combine_bundle, EngineOptions};
 use crate::normal_form::{Prepared, Shape};
+use crate::parallel::run_indexed;
 use crate::update::SupportUpdate;
-use qirana_sqlengine::update::apply_writes;
 use qirana_sqlengine::{execute, Database, EngineError, ExecBudget, ExecContext, Fingerprint, Row};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
+
+/// Bag fingerprint of `q` on the neighboring instance `up` produces, read
+/// through a row patch: the stored database is never written.
+pub(crate) fn neighbor_fp(
+    db: &Database,
+    q: &Prepared,
+    up: &SupportUpdate,
+    budget: ExecBudget,
+) -> Result<Fingerprint, EngineError> {
+    let patch = up.patch(db);
+    let ctx = ExecContext::new(db).with_patch(up.table(), &patch);
+    Ok(bag_fp(execute(&q.plan, &ctx.with_budget(budget))?))
+}
+
+/// Bag fingerprint of `q` on `db` as stored.
+pub(crate) fn base_fp(
+    db: &Database,
+    q: &Prepared,
+    budget: ExecBudget,
+) -> Result<Fingerprint, EngineError> {
+    Ok(bag_fp(execute(
+        &q.plan,
+        &ExecContext::new(db).with_budget(budget),
+    )?))
+}
 
 /// Per-update naive disagreement bits over a neighborhood support set.
 ///
 /// Every query execution — the base run and each per-instance re-run —
-/// happens under `budget`; a trip surfaces as
-/// [`EngineError::BudgetExceeded`] with the database already rolled back.
+/// happens under `opts.budget`; a trip surfaces as
+/// [`EngineError::BudgetExceeded`]. The per-instance runs fan out across
+/// `opts.parallelism` workers with index-ordered results.
 pub fn disagreements_nbrs(
-    db: &mut Database,
+    db: &Database,
     q: &Prepared,
     updates: &[SupportUpdate],
     active: &[bool],
-    budget: ExecBudget,
+    opts: &EngineOptions,
 ) -> Result<Vec<bool>, EngineError> {
     let refs = q.referenced_tables();
-    let base = bag_fp(execute(&q.plan, &ExecContext::new(db).with_budget(budget))?);
-    let mut bits = vec![false; updates.len()];
-    for (i, up) in updates.iter().enumerate() {
-        if !active[i] || !refs.contains(&up.table()) {
-            continue;
-        }
-        let undo = up.apply(db);
-        let fp = execute(&q.plan, &ExecContext::new(db).with_budget(budget)).map(bag_fp);
-        apply_writes(db, &undo);
-        bits[i] = fp? != base;
-    }
-    Ok(bits)
+    let base = base_fp(db, q, opts.budget)?;
+    run_indexed(
+        updates.len(),
+        opts.parallelism.workers(updates.len()),
+        |i| {
+            let up = &updates[i];
+            if !active[i] || !refs.contains(&up.table()) {
+                return Ok(false);
+            }
+            Ok(neighbor_fp(db, q, up, opts.budget)? != base)
+        },
+        &opts.telemetry,
+    )
 }
 
 /// Naive disagreement bits over a uniform support set (whole databases).
@@ -42,21 +74,15 @@ pub fn disagreements_uniform(
     q: &Prepared,
     worlds: &[Database],
     active: &[bool],
-    budget: ExecBudget,
+    opts: &EngineOptions,
 ) -> Result<Vec<bool>, EngineError> {
-    let base = bag_fp(execute(&q.plan, &ExecContext::new(db).with_budget(budget))?);
-    let mut bits = vec![false; worlds.len()];
-    for (i, world) in worlds.iter().enumerate() {
-        if !active[i] {
-            continue;
-        }
-        let fp = bag_fp(execute(
-            &q.plan,
-            &ExecContext::new(world).with_budget(budget),
-        )?);
-        bits[i] = fp != base;
-    }
-    Ok(bits)
+    let base = base_fp(db, q, opts.budget)?;
+    run_indexed(
+        worlds.len(),
+        opts.parallelism.workers(worlds.len()),
+        |i| Ok(active[i] && base_fp(&worlds[i], q, opts.budget)? != base),
+        &opts.telemetry,
+    )
 }
 
 /// Bundle output fingerprints per neighborhood instance (Algorithm 2's
@@ -67,37 +93,37 @@ pub fn disagreements_uniform(
 /// once and reused instead of re-executing the bundle (mirroring the
 /// unreferenced-relation short-circuit in [`disagreements_nbrs`]).
 pub fn partition_nbrs(
-    db: &mut Database,
+    db: &Database,
     bundle: &[&Prepared],
     updates: &[SupportUpdate],
-    budget: ExecBudget,
+    opts: &EngineOptions,
 ) -> Result<Vec<Fingerprint>, EngineError> {
     let refs = bundle_refs(bundle);
-    let mut base: Option<Fingerprint> = None;
-    let mut out = Vec::with_capacity(updates.len());
-    for up in updates {
-        if !refs.contains(&up.table()) {
-            let fp = match base {
-                Some(fp) => fp,
-                None => {
-                    let fp = bundle_fps(db, bundle, budget)?;
-                    base = Some(fp);
-                    fp
+    let base = if updates.iter().any(|u| !refs.contains(&u.table())) {
+        Some(bundle_fps(&ExecContext::new(db), bundle, opts.budget)?)
+    } else {
+        None
+    };
+    run_indexed(
+        updates.len(),
+        opts.parallelism.workers(updates.len()),
+        |i| {
+            let up = &updates[i];
+            match base {
+                Some(fp) if !refs.contains(&up.table()) => Ok(fp),
+                _ => {
+                    let patch = up.patch(db);
+                    let ctx = ExecContext::new(db).with_patch(up.table(), &patch);
+                    bundle_fps(&ctx, bundle, opts.budget)
                 }
-            };
-            out.push(fp);
-            continue;
-        }
-        let undo = up.apply(db);
-        let fps = bundle_fps(db, bundle, budget);
-        apply_writes(db, &undo);
-        out.push(fps?);
-    }
-    Ok(out)
+            }
+        },
+        &opts.telemetry,
+    )
 }
 
 /// Union of the relations referenced by any bundle member.
-pub(crate) fn bundle_refs(bundle: &[&Prepared]) -> std::collections::HashSet<usize> {
+fn bundle_refs(bundle: &[&Prepared]) -> HashSet<usize> {
     bundle.iter().flat_map(|q| q.referenced_tables()).collect()
 }
 
@@ -109,25 +135,25 @@ pub(crate) fn bundle_refs(bundle: &[&Prepared]) -> std::collections::HashSet<usi
 /// change that member's output (its fingerprint *is* the base, whether
 /// short-circuited or executed).
 pub fn query_fps_nbrs(
-    db: &mut Database,
+    db: &Database,
     q: &Prepared,
     updates: &[SupportUpdate],
-    budget: ExecBudget,
+    opts: &EngineOptions,
 ) -> Result<Vec<Fingerprint>, EngineError> {
     let refs = q.referenced_tables();
-    let base = bag_fp(execute(&q.plan, &ExecContext::new(db).with_budget(budget))?);
-    let mut out = Vec::with_capacity(updates.len());
-    for up in updates {
-        if !refs.contains(&up.table()) {
-            out.push(base);
-            continue;
-        }
-        let undo = up.apply(db);
-        let fp = execute(&q.plan, &ExecContext::new(db).with_budget(budget)).map(bag_fp);
-        apply_writes(db, &undo);
-        out.push(fp?);
-    }
-    Ok(out)
+    let base = base_fp(db, q, opts.budget)?;
+    run_indexed(
+        updates.len(),
+        opts.parallelism.workers(updates.len()),
+        |i| {
+            let up = &updates[i];
+            if !refs.contains(&up.table()) {
+                return Ok(base);
+            }
+            neighbor_fp(db, q, up, opts.budget)
+        },
+        &opts.telemetry,
+    )
 }
 
 /// A single query's output fingerprint per uniform world (the per-query
@@ -135,51 +161,40 @@ pub fn query_fps_nbrs(
 pub fn query_fps_uniform(
     q: &Prepared,
     worlds: &[Database],
-    budget: ExecBudget,
+    opts: &EngineOptions,
 ) -> Result<Vec<Fingerprint>, EngineError> {
-    worlds
-        .iter()
-        .map(|w| {
-            Ok(bag_fp(execute(
-                &q.plan,
-                &ExecContext::new(w).with_budget(budget),
-            )?))
-        })
-        .collect()
+    run_indexed(
+        worlds.len(),
+        opts.parallelism.workers(worlds.len()),
+        |i| base_fp(&worlds[i], q, opts.budget),
+        &opts.telemetry,
+    )
 }
 
 /// Bundle output fingerprints per uniform instance.
 pub fn partition_uniform(
-    _db: &Database,
     bundle: &[&Prepared],
     worlds: &[Database],
-    budget: ExecBudget,
+    opts: &EngineOptions,
 ) -> Result<Vec<Fingerprint>, EngineError> {
-    worlds
-        .iter()
-        .map(|w| bundle_fps_ref(w, bundle, budget))
-        .collect()
+    run_indexed(
+        worlds.len(),
+        opts.parallelism.workers(worlds.len()),
+        |i| bundle_fps(&ExecContext::new(&worlds[i]), bundle, opts.budget),
+        &opts.telemetry,
+    )
 }
 
+/// The bundle fingerprint of the instance `ctx` reads, each member executed
+/// under its own fresh `budget` meter.
 fn bundle_fps(
-    db: &Database,
-    bundle: &[&Prepared],
-    budget: ExecBudget,
-) -> Result<Fingerprint, EngineError> {
-    bundle_fps_ref(db, bundle, budget)
-}
-
-fn bundle_fps_ref(
-    db: &Database,
+    ctx: &ExecContext<'_>,
     bundle: &[&Prepared],
     budget: ExecBudget,
 ) -> Result<Fingerprint, EngineError> {
     let mut fps = Vec::with_capacity(bundle.len());
     for q in bundle {
-        fps.push(bag_fp(execute(
-            &q.plan,
-            &ExecContext::new(db).with_budget(budget),
-        )?));
+        fps.push(bag_fp(execute(&q.plan, &ctx.clone().with_budget(budget))?));
     }
     Ok(combine_bundle(&fps))
 }
@@ -297,6 +312,7 @@ mod tests {
     use super::*;
     use crate::normal_form::prepare_query;
     use crate::support::{generate_support, generate_uniform_worlds, SupportConfig};
+    use qirana_sqlengine::update::apply_writes;
     use qirana_sqlengine::{ColumnDef, DataType, TableSchema};
 
     fn db() -> Database {
@@ -326,7 +342,7 @@ mod tests {
 
     #[test]
     fn reduction_matches_plain_naive() {
-        let mut database = db();
+        let database = db();
         let updates = generate_support(
             &database,
             &SupportConfig {
@@ -342,7 +358,7 @@ mod tests {
         ] {
             let q = prepare_query(&database, sql).unwrap();
             let plain =
-                disagreements_nbrs(&mut database, &q, &updates, &active, ExecBudget::UNLIMITED)
+                disagreements_nbrs(&database, &q, &updates, &active, &EngineOptions::naive())
                     .unwrap();
             let reduced =
                 reduced_disagreements(&database, &q, &updates, &active, ExecBudget::UNLIMITED)
@@ -356,7 +372,7 @@ mod tests {
         // Routing an aggregate (non-SPJ) query here used to panic; it must
         // now surface as a recoverable EngineError so callers can fall back
         // to full execution.
-        let mut database = db();
+        let database = db();
         let updates = generate_support(
             &database,
             &SupportConfig {
@@ -370,7 +386,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, EngineError::Eval(_)), "got {err:?}");
         // The same query still prices through the full-execution path.
-        disagreements_nbrs(&mut database, &q, &updates, &active, ExecBudget::UNLIMITED).unwrap();
+        disagreements_nbrs(&database, &q, &updates, &active, &EngineOptions::naive()).unwrap();
     }
 
     #[test]
@@ -383,7 +399,7 @@ mod tests {
             &q,
             &worlds,
             &vec![true; worlds.len()],
-            ExecBudget::UNLIMITED,
+            &EngineOptions::naive(),
         )
         .unwrap();
         let frac = bits.iter().filter(|&&b| b).count() as f64 / bits.len() as f64;
@@ -424,12 +440,12 @@ mod tests {
             "support must touch U for this test to bite"
         );
         let q = prepare_query(&database, "select grp, v from T where v > 9").unwrap();
-        let fast = partition_nbrs(&mut database, &[&q], &updates, ExecBudget::UNLIMITED).unwrap();
+        let fast = partition_nbrs(&database, &[&q], &updates, &EngineOptions::naive()).unwrap();
         // Brute force: always apply and re-execute.
         let mut brute = Vec::with_capacity(updates.len());
         for up in &updates {
             let undo = up.apply(&mut database);
-            let fp = bundle_fps(&database, &[&q], ExecBudget::UNLIMITED);
+            let fp = bundle_fps(&ExecContext::new(&database), &[&q], ExecBudget::UNLIMITED);
             apply_writes(&mut database, &undo);
             brute.push(fp.unwrap());
         }
@@ -466,10 +482,10 @@ mod tests {
         let q1 = prepare_query(&database, "select count(*) from T where v > 30").unwrap();
         let q2 = prepare_query(&database, "select w from U where w > 14").unwrap();
         let bundle = [&q1, &q2];
-        let whole =
-            partition_nbrs(&mut database, &bundle, &updates, ExecBudget::UNLIMITED).unwrap();
-        let f1 = query_fps_nbrs(&mut database, &q1, &updates, ExecBudget::UNLIMITED).unwrap();
-        let f2 = query_fps_nbrs(&mut database, &q2, &updates, ExecBudget::UNLIMITED).unwrap();
+        let opts = EngineOptions::naive();
+        let whole = partition_nbrs(&database, &bundle, &updates, &opts).unwrap();
+        let f1 = query_fps_nbrs(&database, &q1, &updates, &opts).unwrap();
+        let f2 = query_fps_nbrs(&database, &q2, &updates, &opts).unwrap();
         let folded: Vec<Fingerprint> = (0..updates.len())
             .map(|i| combine_bundle(&[f1[i], f2[i]]))
             .collect();
@@ -478,7 +494,7 @@ mod tests {
 
     #[test]
     fn partition_refines_disagreements() {
-        let mut database = db();
+        let database = db();
         let updates = generate_support(
             &database,
             &SupportConfig {
@@ -488,9 +504,9 @@ mod tests {
         );
         let q = prepare_query(&database, "select count(*) from T where v > 30").unwrap();
         let active = vec![true; updates.len()];
-        let bits = disagreements_nbrs(&mut database, &q, &updates, &active, ExecBudget::UNLIMITED)
-            .unwrap();
-        let fps = partition_nbrs(&mut database, &[&q], &updates, ExecBudget::UNLIMITED).unwrap();
+        let opts = EngineOptions::naive();
+        let bits = disagreements_nbrs(&database, &q, &updates, &active, &opts).unwrap();
+        let fps = partition_nbrs(&database, &[&q], &updates, &opts).unwrap();
         let base = {
             let out = execute(&q.plan, &ExecContext::new(&database)).unwrap();
             combine_bundle(&[bag_fp(out)])

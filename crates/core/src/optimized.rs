@@ -39,13 +39,13 @@
 //! bitmap, bit-for-bit as if recomputed.
 
 use crate::engine::{bag_fp, EngineOptions};
+use crate::naive::{base_fp, neighbor_fp};
 use crate::normal_form::{AggShape, Prepared, RelShape, SpjShape};
 use crate::parallel::run_indexed;
 use crate::update::SupportUpdate;
 use qirana_sqlengine::ast::AggFunc;
 use qirana_sqlengine::exec::eval_row_expr;
 use qirana_sqlengine::plan::AggSpec;
-use qirana_sqlengine::update::apply_writes;
 use qirana_sqlengine::{
     execute, Database, EngineError, ExecBudget, ExecContext, Fingerprint, PExpr, QueryOutput,
     ResolvedSelect, Row, Value,
@@ -148,7 +148,7 @@ fn per_upid_fps(out: QueryOutput) -> Result<BTreeMap<i64, Fingerprint>> {
 
 /// Disagreement bits for an SPJ-shaped query over neighborhood updates.
 pub fn spj_disagreements(
-    db: &mut Database,
+    db: &Database,
     shape: &SpjShape,
     updates: &[SupportUpdate],
     active: &[bool],
@@ -255,54 +255,32 @@ pub fn spj_disagreements(
                 }
             }
         } else {
+            // The unbatched probes read table overrides, so every worker
+            // shares the stored database.
             let total = news.len() + cmps.len();
-            let workers = opts.parallelism.workers(total);
-            if workers > 1 {
-                // The unbatched probes are read-only (table overrides, no
-                // writes), so workers share the base database by reference.
-                let shared: &Database = db;
-                let flags = run_indexed(
-                    total,
-                    workers,
-                    || (),
-                    |_, j| {
-                        if j < news.len() {
-                            let (i, rows) = &news[j];
-                            let rows: Vec<Row> = with_upid(rows, *i).collect();
-                            let out = run_probe(shared, rel, &rows, opts.budget)?;
-                            Ok((*i, !out.rows.is_empty()))
-                        } else {
-                            let (i, old, new) = &cmps[j - news.len()];
-                            let old_rows: Vec<Row> = with_upid(old, *i).collect();
-                            let new_rows: Vec<Row> = with_upid(new, *i).collect();
-                            let old_fp = bag_fp(run_probe(shared, rel, &old_rows, opts.budget)?);
-                            let new_fp = bag_fp(run_probe(shared, rel, &new_rows, opts.budget)?);
-                            Ok((*i, old_fp != new_fp))
-                        }
-                    },
-                    &opts.telemetry,
-                )?;
-                for (i, disagrees) in flags {
-                    if disagrees {
-                        bits[i] = true;
+            let flags = run_indexed(
+                total,
+                opts.parallelism.workers(total),
+                |j| {
+                    if j < news.len() {
+                        let (i, rows) = &news[j];
+                        let rows: Vec<Row> = with_upid(rows, *i).collect();
+                        let out = run_probe(db, rel, &rows, opts.budget)?;
+                        Ok((*i, !out.rows.is_empty()))
+                    } else {
+                        let (i, old, new) = &cmps[j - news.len()];
+                        let old_rows: Vec<Row> = with_upid(old, *i).collect();
+                        let new_rows: Vec<Row> = with_upid(new, *i).collect();
+                        let old_fp = bag_fp(run_probe(db, rel, &old_rows, opts.budget)?);
+                        let new_fp = bag_fp(run_probe(db, rel, &new_rows, opts.budget)?);
+                        Ok((*i, old_fp != new_fp))
                     }
-                }
-            } else {
-                for (i, rows) in news {
-                    let rows: Vec<Row> = with_upid(rows, *i).collect();
-                    let out = run_probe(db, rel, &rows, opts.budget)?;
-                    if !out.rows.is_empty() {
-                        bits[*i] = true;
-                    }
-                }
-                for (i, old, new) in cmps {
-                    let old_rows: Vec<Row> = with_upid(old, *i).collect();
-                    let new_rows: Vec<Row> = with_upid(new, *i).collect();
-                    let old_fp = bag_fp(run_probe(db, rel, &old_rows, opts.budget)?);
-                    let new_fp = bag_fp(run_probe(db, rel, &new_rows, opts.budget)?);
-                    if old_fp != new_fp {
-                        bits[*i] = true;
-                    }
+                },
+                &opts.telemetry,
+            )?;
+            for (i, disagrees) in flags {
+                if disagrees {
+                    bits[i] = true;
                 }
             }
         }
@@ -324,7 +302,7 @@ enum Delta {
 
 /// Disagreement bits for an aggregate-shaped query.
 pub fn agg_disagreements(
-    db: &mut Database,
+    db: &Database,
     q: &Prepared,
     shape: &AggShape,
     updates: &[SupportUpdate],
@@ -474,70 +452,35 @@ pub fn agg_disagreements(
             let out = run_probe(db, rel, &rows, opts.budget)?;
             apply_addition_analysis(shape, &group_cache, out, &mut bits)?;
         } else {
-            let workers = opts.parallelism.workers(news.len());
-            if workers > 1 {
-                let shared: &Database = db;
-                let outs = run_indexed(
-                    news.len(),
-                    workers,
-                    || (),
-                    |_, j| {
-                        let (i, rows) = &news[j];
-                        let rows: Vec<Row> = with_upid(rows, *i).collect();
-                        run_probe(shared, rel, &rows, opts.budget)
-                    },
-                    &opts.telemetry,
-                )?;
-                for out in outs {
-                    apply_addition_analysis(shape, &group_cache, out, &mut bits)?;
-                }
-            } else {
-                for (i, rows) in news {
+            let outs = run_indexed(
+                news.len(),
+                opts.parallelism.workers(news.len()),
+                |j| {
+                    let (i, rows) = &news[j];
                     let rows: Vec<Row> = with_upid(rows, *i).collect();
-                    let out = run_probe(db, rel, &rows, opts.budget)?;
-                    apply_addition_analysis(shape, &group_cache, out, &mut bits)?;
-                }
+                    run_probe(db, rel, &rows, opts.budget)
+                },
+                &opts.telemetry,
+            )?;
+            for out in outs {
+                apply_addition_analysis(shape, &group_cache, out, &mut bits)?;
             }
         }
     }
 
-    // Full fallback: apply the update, rerun the query, compare (the paper
-    // notes this check cannot be batched).
+    // Full fallback: rerun the query on each neighbor, read through its row
+    // patch, and compare (the paper notes this check cannot be batched; it
+    // is still embarrassingly parallel across updates).
     if !check_full.is_empty() {
-        let base = bag_fp(execute(
-            plan,
-            &ExecContext::new(db).with_budget(opts.budget),
-        )?);
-        let workers = opts.parallelism.workers(check_full.len());
-        if workers > 1 {
-            // Apply/rerun/undo mutates the database, so each worker gets
-            // its own replica — the paper's "cannot be batched" check is
-            // still embarrassingly parallel across updates.
-            let shared: &Database = db;
-            let flags = run_indexed(
-                check_full.len(),
-                workers,
-                || shared.clone(),
-                |local: &mut Database, j| {
-                    let i = check_full[j];
-                    let undo = updates[i].apply(local);
-                    let fp = execute(plan, &ExecContext::new(local).with_budget(opts.budget))
-                        .map(bag_fp);
-                    apply_writes(local, &undo);
-                    Ok((i, fp? != base))
-                },
-                &opts.telemetry,
-            )?;
-            for (i, bit) in flags {
-                bits[i] = bit;
-            }
-        } else {
-            for i in check_full {
-                let undo = updates[i].apply(db);
-                let fp = execute(plan, &ExecContext::new(db).with_budget(opts.budget)).map(bag_fp);
-                apply_writes(db, &undo);
-                bits[i] = fp? != base;
-            }
+        let base = base_fp(db, q, opts.budget)?;
+        let flags = run_indexed(
+            check_full.len(),
+            opts.parallelism.workers(check_full.len()),
+            |j| neighbor_fp(db, q, &updates[check_full[j]], opts.budget),
+            &opts.telemetry,
+        )?;
+        for (&i, fp) in check_full.iter().zip(flags) {
+            bits[i] = fp != base;
         }
     }
     Ok(bits)

@@ -2,27 +2,29 @@
 //! out across a scoped worker pool.
 //!
 //! The support loop is the system's single hottest path — O(|support| ×
-//! query cost), and every iteration is independent of the others. This
-//! module converts it into near-linear multicore speedup while preserving
-//! three guarantees the sequential path gives:
+//! query cost), and every iteration is independent of the others. Every
+//! per-instance loop in the engine is one call to [`run_indexed`], which
+//! runs inline for one worker and otherwise gives near-linear multicore
+//! speedup while preserving three guarantees:
 //!
 //! * **Determinism.** Results are collected *index-ordered*: each support
 //!   instance's verdict lands in its own slot regardless of which worker
 //!   computed it or when, so disagreement bits — and therefore prices —
 //!   are bitwise identical to the sequential path for any worker count.
 //! * **Budget enforcement.** Every per-instance execution runs under the
-//!   same [`ExecBudget`] as sequentially (one fresh meter per execution,
-//!   deadline measured from that execution's start). The first
+//!   same [`ExecBudget`](qirana_sqlengine::ExecBudget) for any worker count
+//!   (one fresh meter per execution, deadline measured from that
+//!   execution's start). The first
 //!   [`EngineError::BudgetExceeded`] — or any other error — raises a
 //!   cooperative stop flag; workers abandon their queues at the next
 //!   instance boundary and the lowest-index error is returned.
-//! * **Replica isolation.** Neighborhood instances are evaluated by
-//!   applying an update and rolling it back; each worker does this against
-//!   its own deep [`Database`] clone (clone-on-spawn), so the caller's
-//!   database is never touched. Uniform worlds are read-only and shared by
-//!   reference — `Database` is `Sync` (asserted at compile time in
-//!   `qirana-sqlengine`), and all interior-mutable execution state lives
-//!   in per-execution `ExecContext`s.
+//! * **Shared, read-only state.** Workers share the stored database, the
+//!   plans and any uniform worlds by reference: a neighborhood instance is
+//!   read through its update's row patch
+//!   ([`crate::update::SupportUpdate::patch`]), never written. `Database`
+//!   is `Sync` (asserted at compile time in `qirana-sqlengine`), and all
+//!   interior-mutable execution state lives in per-execution
+//!   `ExecContext`s.
 //!
 //! Work is distributed by chunked atomic stealing: workers grab
 //! [`CHUNK`]-sized index ranges from a shared counter, which balances load
@@ -30,29 +32,25 @@
 //! joining relation) without affecting determinism — only *who* computes a
 //! slot varies, never *what* lands in it.
 
-use crate::engine::bag_fp;
-use crate::naive::bundle_refs;
-use crate::normal_form::Prepared;
 use crate::telemetry::Telemetry;
-use crate::update::SupportUpdate;
-use qirana_sqlengine::update::apply_writes;
-use qirana_sqlengine::{execute, Database, EngineError, ExecBudget, ExecContext, Fingerprint};
+use qirana_sqlengine::EngineError;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// How many support instances a worker claims per steal. Large enough to
 /// amortize the atomic, small enough to load-balance skewed instances.
 const CHUNK: usize = 16;
 
-/// Below this many instances the fan-out overhead (thread spawn + replica
-/// clone) outweighs the win; callers fall back to the sequential path.
+/// Below this many instances per worker the fan-out overhead (thread
+/// spawn, result merge) outweighs the win; [`Parallelism::workers`]
+/// shrinks the pool accordingly.
 const MIN_ITEMS_PER_WORKER: usize = 32;
 
 /// Degree of parallelism for the pricing executor, threaded through
 /// [`crate::EngineOptions`] and honored by every support-loop primitive.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Parallelism {
-    /// Single-threaded (the default): identical code path to the
-    /// pre-parallel engine.
+    /// Single-threaded (the default): every loop runs inline on the
+    /// caller's thread.
     #[default]
     Sequential,
     /// A fixed worker-pool size (values 0 and 1 mean sequential).
@@ -77,28 +75,28 @@ impl Parallelism {
     }
 }
 
-/// Runs `f(ctx, i)` for every `i in 0..n` across `workers` scoped threads
-/// and returns the results index-ordered.
+/// Runs `f(i)` for every `i in 0..n` and returns the results
+/// index-ordered: inline on the caller's thread when `workers <= 1`
+/// (recording no `parallel_*` telemetry), across `workers` scoped threads
+/// otherwise.
 ///
-/// `make_ctx` builds one per-worker context (a database replica, or `()`
-/// for read-only work) on the worker's own thread. Any error raises the
-/// stop flag — remaining workers abandon their queues at the next chunk
-/// boundary — and the error with the lowest index wins deterministically
-/// among those raised.
-pub(crate) fn run_indexed<C, T, M, F>(
+/// Any error stops the loop — in the pool it raises the stop flag, and
+/// remaining workers abandon their queues at the next chunk boundary — and
+/// the error with the lowest index wins deterministically among those
+/// raised.
+pub(crate) fn run_indexed<T, F>(
     n: usize,
     workers: usize,
-    make_ctx: M,
     f: F,
     tel: &Telemetry,
 ) -> Result<Vec<T>, EngineError>
 where
-    C: Send,
     T: Send,
-    M: Fn() -> C + Sync,
-    F: Fn(&mut C, usize) -> Result<T, EngineError> + Sync,
+    F: Fn(usize) -> Result<T, EngineError> + Sync,
 {
-    debug_assert!(workers > 1, "sequential callers skip the pool");
+    if workers <= 1 {
+        return (0..n).map(f).collect();
+    }
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     if tel.is_enabled() {
@@ -110,7 +108,6 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(|| {
-                    let mut ctx = make_ctx();
                     let mut out: Vec<(usize, T)> = Vec::with_capacity(n / workers + CHUNK);
                     let mut err: Option<(usize, EngineError)> = None;
                     let mut chunks = 0u64;
@@ -121,7 +118,7 @@ where
                         }
                         chunks += 1;
                         for i in start..(start + CHUNK).min(n) {
-                            match f(&mut ctx, i) {
+                            match f(i) {
                                 Ok(v) => out.push((i, v)),
                                 Err(e) => {
                                     stop.store(true, Ordering::Relaxed);
@@ -181,193 +178,14 @@ where
 
 type WorkerResult<T> = (Vec<(usize, T)>, Option<(usize, EngineError)>);
 
-/// Parallel [`crate::naive::disagreements_nbrs`]: per-worker database
-/// replicas, apply/execute/undo per active instance.
-pub fn disagreements_nbrs(
-    db: &Database,
-    q: &Prepared,
-    updates: &[SupportUpdate],
-    active: &[bool],
-    budget: ExecBudget,
-    workers: usize,
-    tel: &Telemetry,
-) -> Result<Vec<bool>, EngineError> {
-    let refs = q.referenced_tables();
-    let base = bag_fp(execute(&q.plan, &ExecContext::new(db).with_budget(budget))?);
-    run_indexed(
-        updates.len(),
-        workers,
-        || db.clone(),
-        |local: &mut Database, i| {
-            if !active[i] || !refs.contains(&updates[i].table()) {
-                return Ok(false);
-            }
-            let undo = updates[i].apply(local);
-            let fp = execute(&q.plan, &ExecContext::new(local).with_budget(budget)).map(bag_fp);
-            apply_writes(local, &undo);
-            Ok(fp? != base)
-        },
-        tel,
-    )
-}
-
-/// Parallel [`crate::naive::disagreements_uniform`]: the worlds are
-/// read-only, so workers share them by reference — no replicas needed.
-pub fn disagreements_uniform(
-    db: &Database,
-    q: &Prepared,
-    worlds: &[Database],
-    active: &[bool],
-    budget: ExecBudget,
-    workers: usize,
-    tel: &Telemetry,
-) -> Result<Vec<bool>, EngineError> {
-    let base = bag_fp(execute(&q.plan, &ExecContext::new(db).with_budget(budget))?);
-    run_indexed(
-        worlds.len(),
-        workers,
-        || (),
-        |_, i| {
-            if !active[i] {
-                return Ok(false);
-            }
-            let fp = bag_fp(execute(
-                &q.plan,
-                &ExecContext::new(&worlds[i]).with_budget(budget),
-            )?);
-            Ok(fp != base)
-        },
-        tel,
-    )
-}
-
-/// Parallel [`crate::naive::partition_nbrs`]: per-worker replicas, with the
-/// same unreferenced-table short-circuit (those instances fingerprint as
-/// the base, computed once up front).
-pub fn partition_nbrs(
-    db: &Database,
-    bundle: &[&Prepared],
-    updates: &[SupportUpdate],
-    budget: ExecBudget,
-    workers: usize,
-    tel: &Telemetry,
-) -> Result<Vec<Fingerprint>, EngineError> {
-    let refs = bundle_refs(bundle);
-    let base = if updates.iter().any(|u| !refs.contains(&u.table())) {
-        Some(bundle_fps(db, bundle, budget)?)
-    } else {
-        None
-    };
-    run_indexed(
-        updates.len(),
-        workers,
-        || db.clone(),
-        |local: &mut Database, i| {
-            if let Some(fp) = base {
-                if !refs.contains(&updates[i].table()) {
-                    return Ok(fp);
-                }
-            }
-            let undo = updates[i].apply(local);
-            let fps = bundle_fps(local, bundle, budget);
-            apply_writes(local, &undo);
-            fps
-        },
-        tel,
-    )
-}
-
-/// Parallel [`crate::naive::query_fps_nbrs`]: per-worker replicas, base
-/// fingerprint reused for every instance whose update leaves the query's
-/// referenced tables untouched.
-pub fn query_fps_nbrs(
-    db: &Database,
-    q: &Prepared,
-    updates: &[SupportUpdate],
-    budget: ExecBudget,
-    workers: usize,
-    tel: &Telemetry,
-) -> Result<Vec<Fingerprint>, EngineError> {
-    let refs = q.referenced_tables();
-    let base = bag_fp(execute(&q.plan, &ExecContext::new(db).with_budget(budget))?);
-    run_indexed(
-        updates.len(),
-        workers,
-        || db.clone(),
-        |local: &mut Database, i| {
-            if !refs.contains(&updates[i].table()) {
-                return Ok(base);
-            }
-            let undo = updates[i].apply(local);
-            let fp = execute(&q.plan, &ExecContext::new(local).with_budget(budget)).map(bag_fp);
-            apply_writes(local, &undo);
-            fp
-        },
-        tel,
-    )
-}
-
-/// Parallel [`crate::naive::query_fps_uniform`]: read-only shared worlds.
-pub fn query_fps_uniform(
-    q: &Prepared,
-    worlds: &[Database],
-    budget: ExecBudget,
-    workers: usize,
-    tel: &Telemetry,
-) -> Result<Vec<Fingerprint>, EngineError> {
-    run_indexed(
-        worlds.len(),
-        workers,
-        || (),
-        |_, i| {
-            Ok(bag_fp(execute(
-                &q.plan,
-                &ExecContext::new(&worlds[i]).with_budget(budget),
-            )?))
-        },
-        tel,
-    )
-}
-
-/// Parallel [`crate::naive::partition_uniform`]: read-only shared worlds.
-pub fn partition_uniform(
-    bundle: &[&Prepared],
-    worlds: &[Database],
-    budget: ExecBudget,
-    workers: usize,
-    tel: &Telemetry,
-) -> Result<Vec<Fingerprint>, EngineError> {
-    run_indexed(
-        worlds.len(),
-        workers,
-        || (),
-        |_, i| bundle_fps(&worlds[i], bundle, budget),
-        tel,
-    )
-}
-
-fn bundle_fps(
-    db: &Database,
-    bundle: &[&Prepared],
-    budget: ExecBudget,
-) -> Result<Fingerprint, EngineError> {
-    let mut fps = Vec::with_capacity(bundle.len());
-    for q in bundle {
-        fps.push(bag_fp(execute(
-            &q.plan,
-            &ExecContext::new(db).with_budget(budget),
-        )?));
-    }
-    Ok(crate::engine::combine_bundle(&fps))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineOptions;
     use crate::naive;
     use crate::normal_form::prepare_query;
     use crate::support::{generate_support, generate_uniform_worlds, SupportConfig};
-    use qirana_sqlengine::{ColumnDef, DataType, TableSchema};
+    use qirana_sqlengine::{ColumnDef, DataType, Database, ExecBudget, TableSchema};
     use std::time::Duration;
 
     fn db() -> Database {
@@ -395,6 +213,11 @@ mod tests {
         db
     }
 
+    /// Options running the per-instance loops on `workers` threads.
+    fn threads(workers: usize) -> EngineOptions {
+        EngineOptions::naive().with_parallelism(Parallelism::Threads(workers))
+    }
+
     #[test]
     fn workers_respects_caps() {
         assert_eq!(Parallelism::Sequential.workers(1_000_000), 1);
@@ -407,7 +230,7 @@ mod tests {
 
     #[test]
     fn parallel_nbrs_matches_sequential() {
-        let mut database = db();
+        let database = db();
         let updates = generate_support(
             &database,
             &SupportConfig {
@@ -421,25 +244,12 @@ mod tests {
             "select grp, sum(v) from T group by grp",
         ] {
             let q = prepare_query(&database, sql).unwrap();
-            let seq = naive::disagreements_nbrs(
-                &mut database,
-                &q,
-                &updates,
-                &active,
-                ExecBudget::UNLIMITED,
-            )
-            .unwrap();
+            let seq =
+                naive::disagreements_nbrs(&database, &q, &updates, &active, &threads(1)).unwrap();
             for workers in [2, 3, 8] {
-                let par = disagreements_nbrs(
-                    &database,
-                    &q,
-                    &updates,
-                    &active,
-                    ExecBudget::UNLIMITED,
-                    workers,
-                    &Telemetry::disabled(),
-                )
-                .unwrap();
+                let par =
+                    naive::disagreements_nbrs(&database, &q, &updates, &active, &threads(workers))
+                        .unwrap();
                 assert_eq!(seq, par, "worker count {workers} changed bits for {sql}");
             }
         }
@@ -452,24 +262,15 @@ mod tests {
         let active = vec![true; worlds.len()];
         let q = prepare_query(&database, "select grp, v from T").unwrap();
         let seq =
-            naive::disagreements_uniform(&database, &q, &worlds, &active, ExecBudget::UNLIMITED)
-                .unwrap();
-        let par = disagreements_uniform(
-            &database,
-            &q,
-            &worlds,
-            &active,
-            ExecBudget::UNLIMITED,
-            4,
-            &Telemetry::disabled(),
-        )
-        .unwrap();
+            naive::disagreements_uniform(&database, &q, &worlds, &active, &threads(1)).unwrap();
+        let par =
+            naive::disagreements_uniform(&database, &q, &worlds, &active, &threads(4)).unwrap();
         assert_eq!(seq, par);
     }
 
     #[test]
     fn parallel_partition_matches_sequential() {
-        let mut database = db();
+        let database = db();
         let updates = generate_support(
             &database,
             &SupportConfig {
@@ -480,36 +281,19 @@ mod tests {
         let q1 = prepare_query(&database, "select count(*) from T where v > 40").unwrap();
         let q2 = prepare_query(&database, "select grp from T").unwrap();
         let bundle = [&q1, &q2];
-        let seq =
-            naive::partition_nbrs(&mut database, &bundle, &updates, ExecBudget::UNLIMITED).unwrap();
-        let par = partition_nbrs(
-            &database,
-            &bundle,
-            &updates,
-            ExecBudget::UNLIMITED,
-            4,
-            &Telemetry::disabled(),
-        )
-        .unwrap();
+        let seq = naive::partition_nbrs(&database, &bundle, &updates, &threads(1)).unwrap();
+        let par = naive::partition_nbrs(&database, &bundle, &updates, &threads(4)).unwrap();
         assert_eq!(seq, par);
 
         let worlds = generate_uniform_worlds(&database, 64, 5);
-        let seq_u =
-            naive::partition_uniform(&database, &bundle, &worlds, ExecBudget::UNLIMITED).unwrap();
-        let par_u = partition_uniform(
-            &bundle,
-            &worlds,
-            ExecBudget::UNLIMITED,
-            4,
-            &Telemetry::disabled(),
-        )
-        .unwrap();
+        let seq_u = naive::partition_uniform(&bundle, &worlds, &threads(1)).unwrap();
+        let par_u = naive::partition_uniform(&bundle, &worlds, &threads(4)).unwrap();
         assert_eq!(seq_u, par_u);
     }
 
     #[test]
     fn parallel_query_fps_match_sequential() {
-        let mut database = db();
+        let database = db();
         let updates = generate_support(
             &database,
             &SupportConfig {
@@ -518,57 +302,16 @@ mod tests {
             },
         );
         let q = prepare_query(&database, "select grp, sum(v) from T group by grp").unwrap();
-        let seq =
-            naive::query_fps_nbrs(&mut database, &q, &updates, ExecBudget::UNLIMITED).unwrap();
+        let seq = naive::query_fps_nbrs(&database, &q, &updates, &threads(1)).unwrap();
         for workers in [2, 4] {
-            let par = query_fps_nbrs(
-                &database,
-                &q,
-                &updates,
-                ExecBudget::UNLIMITED,
-                workers,
-                &Telemetry::disabled(),
-            )
-            .unwrap();
+            let par = naive::query_fps_nbrs(&database, &q, &updates, &threads(workers)).unwrap();
             assert_eq!(seq, par, "worker count {workers} changed fingerprints");
         }
 
         let worlds = generate_uniform_worlds(&database, 64, 5);
-        let seq_u = naive::query_fps_uniform(&q, &worlds, ExecBudget::UNLIMITED).unwrap();
-        let par_u = query_fps_uniform(
-            &q,
-            &worlds,
-            ExecBudget::UNLIMITED,
-            4,
-            &Telemetry::disabled(),
-        )
-        .unwrap();
+        let seq_u = naive::query_fps_uniform(&q, &worlds, &threads(1)).unwrap();
+        let par_u = naive::query_fps_uniform(&q, &worlds, &threads(4)).unwrap();
         assert_eq!(seq_u, par_u);
-    }
-
-    #[test]
-    fn caller_database_is_untouched() {
-        let database = db();
-        let before = database.table("T").unwrap().rows.clone();
-        let updates = generate_support(
-            &database,
-            &SupportConfig {
-                size: 200,
-                ..Default::default()
-            },
-        );
-        let q = prepare_query(&database, "select v from T where v > 10").unwrap();
-        disagreements_nbrs(
-            &database,
-            &q,
-            &updates,
-            &vec![true; updates.len()],
-            ExecBudget::UNLIMITED,
-            4,
-            &Telemetry::disabled(),
-        )
-        .unwrap();
-        assert_eq!(database.table("T").unwrap().rows, before);
     }
 
     #[test]
@@ -586,14 +329,12 @@ mod tests {
         // whichever worker gets there first; the pool must abort promptly
         // and surface BudgetExceeded rather than hang or panic.
         let budget = ExecBudget::default().with_timeout(Duration::ZERO);
-        let err = disagreements_nbrs(
+        let err = naive::disagreements_nbrs(
             &database,
             &q,
             &updates,
             &vec![true; updates.len()],
-            budget,
-            4,
-            &Telemetry::disabled(),
+            &threads(4).with_budget(budget),
         )
         .unwrap_err();
         assert!(
@@ -606,12 +347,11 @@ mod tests {
     fn run_indexed_returns_lowest_index_error() {
         // Deterministic error selection: index 7 and 200 both fail; the
         // lowest must win no matter which worker hits which first.
-        for _ in 0..8 {
+        for workers in std::iter::once(1).chain([4; 8]) {
             let err = run_indexed(
                 256,
-                4,
-                || (),
-                |_, i| {
+                workers,
+                |i| {
                     if i == 7 || i == 200 {
                         Err(EngineError::Eval(format!("boom {i}")))
                     } else {
@@ -625,5 +365,16 @@ mod tests {
             // worker can reach 200 and stop the pool.
             assert!(err.to_string().ends_with("boom 7"), "{err}");
         }
+    }
+
+    #[test]
+    fn inline_run_records_no_pool_telemetry() {
+        let tel = Telemetry::enabled();
+        let out = run_indexed(100, 1, |i| Ok(i * 2), &tel).unwrap();
+        assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
+        let sink = tel.sink().unwrap();
+        assert_eq!(sink.counter("parallel_fanouts_total"), 0);
+        run_indexed(100, 2, |i| Ok(i * 2), &tel).unwrap();
+        assert_eq!(sink.counter("parallel_fanouts_total"), 1);
     }
 }

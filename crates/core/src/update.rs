@@ -144,6 +144,19 @@ impl SupportUpdate {
         apply_writes(db, &writes)
     }
 
+    /// The update as a row patch over its table: `(row index, new row)`
+    /// for the one row it rewrites, or the two a swap exchanges. Executing
+    /// under [`qirana_sqlengine::ExecContext::with_patch`] with it evaluates
+    /// the neighboring instance without writing to `db`.
+    pub fn patch(&self, db: &Database) -> Vec<(usize, Row)> {
+        let (_, new) = self.old_new_rows(db);
+        let rows = match self {
+            SupportUpdate::Row { row, .. } => vec![*row],
+            SupportUpdate::Swap { row_a, row_b, .. } => vec![*row_a, *row_b],
+        };
+        rows.into_iter().zip(new).collect()
+    }
+
     /// The removed and inserted tuples `(u⁻ set, u⁺ set)`: one pair for a
     /// row update, two for a swap.
     pub fn old_new_rows(&self, db: &Database) -> (Vec<Row>, Vec<Row>) {
@@ -326,6 +339,37 @@ mod tests {
         assert_eq!(old.len(), 2);
         assert_eq!(new[0], vec![1.into(), "f".into(), 13.into()]);
         assert_eq!(new[1], vec![2.into(), "m".into(), 25.into()]);
+    }
+
+    #[test]
+    fn patch_lists_the_rows_apply_writes() {
+        for up in [
+            SupportUpdate::Row {
+                table: 0,
+                row: 1,
+                changes: vec![(1, "m".into()), (2, 99.into())],
+            },
+            SupportUpdate::Swap {
+                table: 0,
+                row_a: 2,
+                row_b: 0,
+                cols: vec![2],
+            },
+        ] {
+            let mut db = db();
+            let patch = up.patch(&db);
+            let undo = up.apply(&mut db);
+            let mut touched: Vec<usize> = undo.iter().map(|w| w.row).collect();
+            touched.sort_unstable();
+            touched.dedup();
+            let mut patched: Vec<usize> = patch.iter().map(|(r, _)| *r).collect();
+            patched.sort_unstable();
+            assert_eq!(patched, touched);
+            for (r, row) in &patch {
+                assert_eq!(&db.table_at(0).rows[*r], row);
+            }
+            apply_writes(&mut db, &undo);
+        }
     }
 
     #[test]

@@ -104,7 +104,7 @@ proptest! {
         seed in any::<u64>(),
         query_idx in 0usize..7,
     ) {
-        let mut db = build_db(&t_rows, &u_rows);
+        let db = build_db(&t_rows, &u_rows);
         let sql = &query_pool(c)[query_idx];
         let q = prepare_query(&db, sql).unwrap();
         let support = SupportSet::Neighborhood(generate_support(
@@ -112,9 +112,10 @@ proptest! {
             &SupportConfig { size: 96, seed, ..Default::default() },
         ));
 
-        // `default()` takes the delta path for SPJ/aggregate shapes;
-        // `default().with_delta(false)` keeps the batched optimizer
-        // covered now that it is no longer the default route.
+        // Coverage ignores the delta flag: `default()` and
+        // `default().with_delta(false)` both run the batched optimizer for
+        // SPJ/aggregate shapes, so the pair pins that the flag is inert
+        // here.
         let configs = [
             EngineOptions::naive(),
             EngineOptions::no_batching(),
@@ -126,11 +127,11 @@ proptest! {
             EngineOptions::default().with_parallelism(PAR),
         ];
         let reference =
-            bundle_disagreements(&mut db, &[&q], &support, &configs[0], None).unwrap();
+            bundle_disagreements(&db, &[&q], &support, &configs[0], None).unwrap();
         let weights = uniform_weights(support.len(), 100.0);
         let ref_price = weighted_coverage(&weights, &reference);
         for opts in &configs[1..] {
-            let bits = bundle_disagreements(&mut db, &[&q], &support, opts, None).unwrap();
+            let bits = bundle_disagreements(&db, &[&q], &support, opts, None).unwrap();
             prop_assert_eq!(&bits, &reference, "bits diverge for {} under {:?}", sql, opts);
             prop_assert_eq!(
                 weighted_coverage(&weights, &bits).to_bits(),
@@ -150,7 +151,7 @@ proptest! {
         seed in any::<u64>(),
         query_idx in 0usize..7,
     ) {
-        let mut db = build_db(&t_rows, &u_rows);
+        let db = build_db(&t_rows, &u_rows);
         let sql = &query_pool(c)[query_idx];
         let q = prepare_query(&db, sql).unwrap();
         let support = SupportSet::Neighborhood(generate_support(
@@ -161,17 +162,17 @@ proptest! {
         // Full execution (delta off) is the reference; the delta path must
         // reproduce it bitwise, sequentially and in parallel.
         let full = bundle_partition(
-            &mut db,
+            &db,
             &[&q],
             &support,
             &EngineOptions::default().with_delta(false),
         )
         .unwrap();
         let seq =
-            bundle_partition(&mut db, &[&q], &support, &EngineOptions::default()).unwrap();
+            bundle_partition(&db, &[&q], &support, &EngineOptions::default()).unwrap();
         prop_assert_eq!(&seq, &full, "delta partition diverges for {}", sql);
         let par = bundle_partition(
-            &mut db,
+            &db,
             &[&q],
             &support,
             &EngineOptions::default().with_parallelism(PAR),
@@ -385,16 +386,16 @@ proptest! {
         seed in any::<u64>(),
         query_idx in 0usize..5,
     ) {
-        let mut db = build_db(&t_rows, &[]);
+        let db = build_db(&t_rows, &[]);
         let sql = &query_pool(0)[query_idx];
         let q = prepare_query(&db, sql).unwrap();
         let support = SupportSet::Uniform(generate_uniform_worlds(&db, 80, seed));
 
         let seq = bundle_disagreements(
-            &mut db, &[&q], &support, &EngineOptions::default(), None,
+            &db, &[&q], &support, &EngineOptions::default(), None,
         ).unwrap();
         let par = bundle_disagreements(
-            &mut db, &[&q], &support, &EngineOptions::default().with_parallelism(PAR), None,
+            &db, &[&q], &support, &EngineOptions::default().with_parallelism(PAR), None,
         ).unwrap();
         prop_assert_eq!(seq, par, "uniform bits diverge for {}", sql);
     }
@@ -524,7 +525,7 @@ fn pricing_detects_update_between_adjacent_large_ints() {
         changes: vec![(1, Value::Int(BIG + 1))],
     }]);
     for opts in [EngineOptions::naive(), EngineOptions::default()] {
-        let bits = bundle_disagreements(&mut db, &[&q], &support, &opts, None).unwrap();
+        let bits = bundle_disagreements(&db, &[&q], &support, &opts, None).unwrap();
         assert_eq!(
             bits,
             vec![true],
@@ -538,7 +539,7 @@ fn pricing_detects_update_between_adjacent_large_ints() {
 #[test]
 fn budget_trip_propagates_through_parallel_path() {
     let t_rows: Vec<(u8, i16)> = (0..16).map(|i| (i as u8, i as i16)).collect();
-    let mut db = build_db(&t_rows, &[]);
+    let db = build_db(&t_rows, &[]);
     let q = prepare_query(&db, "SELECT grp, sum(v) FROM T GROUP BY grp").unwrap();
     let support = SupportSet::Neighborhood(generate_support(
         &db,
@@ -550,7 +551,7 @@ fn budget_trip_propagates_through_parallel_path() {
     let opts = EngineOptions::naive()
         .with_parallelism(PAR)
         .with_budget(ExecBudget::default().with_timeout(Duration::ZERO));
-    let err = bundle_disagreements(&mut db, &[&q], &support, &opts, None).unwrap_err();
+    let err = bundle_disagreements(&db, &[&q], &support, &opts, None).unwrap_err();
     assert!(
         matches!(err, EngineError::BudgetExceeded { .. }),
         "expected BudgetExceeded, got {err:?}"

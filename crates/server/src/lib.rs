@@ -6,9 +6,9 @@
 //! ## The read/commit split
 //!
 //! The broker's quote path is `&self` (peek-only pricing-cache probes,
-//! scratch databases from an internal pool), so the service wraps one
-//! [`Qirana`] in an [`RwLock`] and runs every quote under the *read*
-//! lock: any number of buyer sessions price concurrently without
+//! engine evaluation that only reads the stored database), so the service
+//! wraps one [`Qirana`] in an [`RwLock`] and runs every quote under the
+//! *read* lock: any number of buyer sessions price concurrently without
 //! serializing on each other. State changes — purchases and seller-side
 //! updates — go through [`commit`], which takes the *write* lock and
 //! preserves the broker's append-then-apply WAL discipline as one atomic
@@ -241,17 +241,8 @@ fn respond(shared: &Shared, req: &Request) -> (u16, String) {
         );
     }
     let route = format!("{} {}", req.method, req.path);
-    let t0 = shared.tel.now_ns();
-    let out = {
-        let _span = shared.tel.span_with(Stage::ServerRequest, route);
-        route_request(shared, req)
-    };
-    if let (Some(t0), Some(t1)) = (t0, shared.tel.now_ns()) {
-        shared
-            .tel
-            .observe("server_request_ns", t1.saturating_sub(t0));
-    }
-    out
+    let _span = shared.tel.span_with(Stage::ServerRequest, route);
+    route_request(shared, req)
 }
 
 fn route_request(shared: &Shared, req: &Request) -> (u16, String) {

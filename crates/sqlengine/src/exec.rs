@@ -13,6 +13,9 @@
 //!   if relation `R` contained different rows — this is how QIRANA evaluates
 //!   `Q((D ∖ R) ∪ {u⁺})` without touching the stored instance (§4.1) and how
 //!   batch queries run over the synthetic `R⁺` relation (§4.2).
+//! * **Row patches** ([`ExecContext::with_patch`]): execute a plan as if one
+//!   or two rows of `R` were replaced in place — a support neighbor (§3.2)
+//!   read zero-copy, with every other row and the row order as stored.
 //! * **Open plans**: the executor accepts programmatically modified
 //!   [`ResolvedSelect`] values (key-augmented, unrolled, widened).
 
@@ -158,12 +161,22 @@ impl BudgetMeter {
     }
 }
 
-/// Execution context: the database, optional per-table row overrides, and
-/// an optional resource budget.
+/// How one relation reads under an [`ExecContext`].
+#[derive(Clone, Copy)]
+enum TableView<'a> {
+    /// Every stored row replaced ([`ExecContext::with_override`]).
+    Override(&'a [Row]),
+    /// The stored rows, except the listed `(row index, replacement)` pairs
+    /// ([`ExecContext::with_patch`]).
+    Patch(&'a [(usize, Row)]),
+}
+
+/// Execution context: the database, optional per-table row overrides or
+/// row patches, and an optional resource budget.
 #[derive(Clone)]
 pub struct ExecContext<'a> {
     db: &'a Database,
-    overrides: Vec<(usize, &'a [Row])>,
+    views: Vec<(usize, TableView<'a>)>,
     meter: BudgetMeter,
 }
 
@@ -172,18 +185,26 @@ impl<'a> ExecContext<'a> {
     pub fn new(db: &'a Database) -> Self {
         ExecContext {
             db,
-            overrides: Vec::new(),
+            views: Vec::new(),
             meter: BudgetMeter::new(ExecBudget::UNLIMITED),
         }
     }
 
     /// Context where table `table_idx`'s rows are replaced by `rows`.
     pub fn with_override(db: &'a Database, table_idx: usize, rows: &'a [Row]) -> Self {
-        ExecContext {
-            db,
-            overrides: vec![(table_idx, rows)],
-            meter: BudgetMeter::new(ExecBudget::UNLIMITED),
-        }
+        let mut ctx = ExecContext::new(db);
+        ctx.add_override(table_idx, rows);
+        ctx
+    }
+
+    /// Reads table `table_idx` as stored, except that row `i` reads as
+    /// `row` for every `(i, row)` in `patch` — a row or swap update seen
+    /// without writing to the database or copying the relation. Rows keep
+    /// their index order, so results equal those of executing on the
+    /// updated instance. Replaces any earlier view of the same table.
+    pub fn with_patch(mut self, table_idx: usize, patch: &'a [(usize, Row)]) -> Self {
+        self.set_view(table_idx, TableView::Patch(patch));
+        self
     }
 
     /// Installs a resource budget; the wall-clock deadline starts now.
@@ -221,10 +242,14 @@ impl<'a> ExecContext<'a> {
 
     /// Adds (or replaces) an override.
     pub fn add_override(&mut self, table_idx: usize, rows: &'a [Row]) {
-        if let Some(e) = self.overrides.iter_mut().find(|(t, _)| *t == table_idx) {
-            e.1 = rows;
+        self.set_view(table_idx, TableView::Override(rows));
+    }
+
+    fn set_view(&mut self, table_idx: usize, view: TableView<'a>) {
+        if let Some(e) = self.views.iter_mut().find(|(t, _)| *t == table_idx) {
+            e.1 = view;
         } else {
-            self.overrides.push((table_idx, rows));
+            self.views.push((table_idx, view));
         }
     }
 
@@ -233,12 +258,13 @@ impl<'a> ExecContext<'a> {
         self.db
     }
 
-    fn rows_for(&self, table_idx: usize) -> &'a [Row] {
-        self.overrides
-            .iter()
-            .find(|(t, _)| *t == table_idx)
-            .map(|(_, r)| *r)
-            .unwrap_or(&self.db.table_at(table_idx).rows)
+    fn source(&self, table_idx: usize) -> Source<'a> {
+        let stored = &self.db.table_at(table_idx).rows;
+        match self.views.iter().find(|(t, _)| *t == table_idx) {
+            Some((_, TableView::Override(rows))) => Source::Borrowed(rows),
+            Some((_, TableView::Patch(patch))) => Source::Patched(stored, patch),
+            None => Source::Borrowed(stored),
+        }
     }
 }
 
@@ -675,18 +701,49 @@ impl Accum {
 // FROM evaluation (joins)
 // ---------------------------------------------------------------------------
 
+/// The rows one FROM item reads.
 enum Source<'a> {
     Borrowed(&'a [Row]),
+    /// Stored rows read through a row patch: row `i` is the patch's
+    /// replacement when the patch lists `i`. Never copied.
+    Patched(&'a [Row], &'a [(usize, Row)]),
     Owned(Vec<Row>),
 }
 
 impl Source<'_> {
-    fn as_slice(&self) -> &[Row] {
+    /// The rows and the patch laid over them (empty unless `Patched`).
+    fn parts(&self) -> (&[Row], &[(usize, Row)]) {
         match self {
-            Source::Borrowed(r) => r,
-            Source::Owned(r) => r,
+            Source::Borrowed(r) => (r, &[]),
+            Source::Patched(r, patch) => (r, patch),
+            Source::Owned(r) => (r, &[]),
         }
     }
+
+    fn len(&self) -> usize {
+        self.parts().0.len()
+    }
+
+    fn row(&self, i: usize) -> &Row {
+        let (rows, patch) = self.parts();
+        patched_row(patch, i, &rows[i])
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Row> {
+        let (rows, patch) = self.parts();
+        rows.iter()
+            .enumerate()
+            .map(move |(i, r)| patched_row(patch, i, r))
+    }
+}
+
+/// Row `i` as read through `patch`: its replacement if the patch lists `i`,
+/// the stored `row` otherwise.
+fn patched_row<'r>(patch: &'r [(usize, Row)], i: usize, row: &'r Row) -> &'r Row {
+    patch
+        .iter()
+        .find(|(j, _)| *j == i)
+        .map_or(row, |(_, new)| new)
 }
 
 /// A classified WHERE conjunct.
@@ -802,16 +859,16 @@ fn run_from(
     for (i, rel) in plan.relations.iter().enumerate() {
         let raw: Source<'_> = match rel {
             PRelation::Base { table, arity, .. } => {
-                let rows = ctx.rows_for(*table);
-                if let Some(r0) = rows.first() {
+                let rows = ctx.source(*table);
+                if rows.len() > 0 {
                     assert_eq!(
-                        r0.len(),
+                        rows.row(0).len(),
                         *arity,
                         "override rows must match the plan's arity for {}",
                         rel.binding()
                     );
                 }
-                Source::Borrowed(rows)
+                rows
             }
             PRelation::Derived { plan: sub, .. } => {
                 Source::Owned(execute_nested(sub, ctx, &[])?.rows)
@@ -831,7 +888,7 @@ fn run_from(
             })
             .collect();
         let mut kept = Vec::new();
-        for row in raw.as_slice() {
+        for row in raw.iter() {
             let env = Env {
                 row,
                 aggs: None,
@@ -858,13 +915,13 @@ fn run_from(
     // connected relation (falling back to cartesian product).
     // The planner rejects SELECTs with an empty FROM list, so n >= 1.
     let start = (0..n)
-        .min_by_key(|&i| sources[i].as_slice().len())
+        .min_by_key(|&i| sources[i].len())
         .ok_or_else(|| EngineError::internal("greedy join started with an empty FROM list"))?;
     let mut bound: u64 = 1 << start;
     let width = plan.width;
-    let start_rows = sources[start].as_slice();
+    let start_rows = &sources[start];
     let mut inter: Vec<Row> = Vec::with_capacity(start_rows.len());
-    for r in start_rows {
+    for r in start_rows.iter() {
         ctx.charge_rows(1, width)?;
         inter.push(widen(r, plan.offsets[start], width));
     }
@@ -884,7 +941,7 @@ fn run_from(
             });
             if connected
                 && candidate
-                    .map(|c| sources[r].as_slice().len() < sources[c].as_slice().len())
+                    .map(|c| sources[r].len() < sources[c].len())
                     .unwrap_or(true)
             {
                 candidate = Some(r);
@@ -916,7 +973,7 @@ fn run_from(
                     })
                     .collect();
                 // Build.
-                let rows_r = sources[r].as_slice();
+                let rows_r = &sources[r];
                 let mut ht: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(rows_r.len());
                 'build: for (i, row) in rows_r.iter().enumerate() {
                     let env = Env {
@@ -959,7 +1016,7 @@ fn run_from(
                         for &mi in matches {
                             ctx.charge_rows(1, width)?;
                             let mut merged = irow.clone();
-                            fill(&mut merged, &rows_r[mi], offset);
+                            fill(&mut merged, rows_r.row(mi), offset);
                             next.push(merged);
                         }
                     }
@@ -972,15 +1029,15 @@ fn run_from(
                 // The loop runs only while some relation is unbound.
                 let r = (0..n)
                     .filter(|&i| bound & (1 << i) == 0)
-                    .min_by_key(|&i| sources[i].as_slice().len())
+                    .min_by_key(|&i| sources[i].len())
                     .ok_or_else(|| {
                         EngineError::internal("greedy join loop ran with every relation bound")
                     })?;
                 let offset = plan.offsets[r];
-                let rows_r = sources[r].as_slice();
+                let rows_r = &sources[r];
                 let mut next = Vec::with_capacity(inter.len() * rows_r.len().max(1));
                 for irow in &inter {
-                    for row in rows_r {
+                    for row in rows_r.iter() {
                         ctx.charge_rows(1, width)?;
                         let mut merged = irow.clone();
                         fill(&mut merged, row, offset);

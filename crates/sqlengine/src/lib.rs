@@ -15,8 +15,9 @@
 //! * `UPDATE` statements and primitive cell writes with undo.
 //!
 //! Two pricing-specific capabilities distinguish it from a generic engine:
-//! **table overrides** (execute a plan as if a relation contained different
-//! rows) and **open plans** ([`plan::ResolvedSelect`] exposes its structure
+//! **table overrides and row patches** (execute a plan as if a relation
+//! contained different rows, or had a few rows replaced in place, without
+//! writing to the database) and **open plans** ([`plan::ResolvedSelect`] exposes its structure
 //! and slot-rewriting helpers so the pricing optimizer can derive augmented,
 //! unrolled, and batch queries programmatically).
 //!

@@ -100,7 +100,7 @@ const QUERIES: &[&str] = &[
     "select count(*) from User U where exists (select 1 from Tweet T where T.uid = U.uid)",
 ];
 
-fn check_all_configs(db: &mut Database, support: &SupportSet) {
+fn check_all_configs(db: &Database, support: &SupportSet) {
     let prepared: Vec<Prepared> = QUERIES
         .iter()
         .map(|q| prepare_query(db, q).expect("prepare"))
@@ -143,7 +143,7 @@ proptest! {
         seed in 0u64..1000,
         swap_fraction in 0.0f64..1.0,
     ) {
-        let mut db = build_db(&users, &tweets);
+        let db = build_db(&users, &tweets);
         let support = SupportSet::Neighborhood(generate_support(
             &db,
             &SupportConfig {
@@ -153,7 +153,7 @@ proptest! {
                 ..Default::default()
             },
         ));
-        check_all_configs(&mut db, &support);
+        check_all_configs(&db, &support);
     }
 }
 
@@ -164,7 +164,7 @@ fn optimizer_equals_naive_fixed_corpus() {
         .map(|i| (i, (i % 2) as u8, 12 + (i * 7) % 50))
         .collect();
     let tweets: Vec<(i64, i64, u8)> = (0..20).map(|i| (i, i * 3 % 12, (i % 3) as u8)).collect();
-    let mut db = build_db(&users, &tweets);
+    let db = build_db(&users, &tweets);
     for seed in [1, 2, 3] {
         for swap_fraction in [0.0, 0.5, 1.0] {
             let support = SupportSet::Neighborhood(generate_support(
@@ -176,7 +176,7 @@ fn optimizer_equals_naive_fixed_corpus() {
                     ..Default::default()
                 },
             ));
-            check_all_configs(&mut db, &support);
+            check_all_configs(&db, &support);
         }
     }
 }
@@ -187,7 +187,7 @@ fn skip_bitmap_consistency() {
     // non-skipped positions and be false elsewhere.
     let users: Vec<(i64, u8, i64)> = (0..8).map(|i| (i, (i % 2) as u8, 20 + i)).collect();
     let tweets: Vec<(i64, i64, u8)> = (0..10).map(|i| (i, i, (i % 3) as u8)).collect();
-    let mut db = build_db(&users, &tweets);
+    let db = build_db(&users, &tweets);
     let support = SupportSet::Neighborhood(generate_support(
         &db,
         &SupportConfig {
@@ -196,17 +196,10 @@ fn skip_bitmap_consistency() {
         },
     ));
     let q = prepare_query(&db, "select gender, avg(age) from User group by gender").unwrap();
-    let full =
-        bundle_disagreements(&mut db, &[&q], &support, &EngineOptions::default(), None).unwrap();
+    let full = bundle_disagreements(&db, &[&q], &support, &EngineOptions::default(), None).unwrap();
     let skip: Vec<bool> = (0..200).map(|i| i % 3 == 0).collect();
-    let masked = bundle_disagreements(
-        &mut db,
-        &[&q],
-        &support,
-        &EngineOptions::default(),
-        Some(&skip),
-    )
-    .unwrap();
+    let masked =
+        bundle_disagreements(&db, &[&q], &support, &EngineOptions::default(), Some(&skip)).unwrap();
     for i in 0..200 {
         if skip[i] {
             assert!(!masked[i], "skipped position {i} must stay false");
